@@ -10,14 +10,18 @@ output pipes straight into eval or spectrum.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
 from .constructions import FAMILIES
 from .density import density_function, density_profile, sequence_from_spec
-from .errors import ParseError, ResourceLimitError, RingSpectraError
-from .evaluate import DEFAULT_TUPLE_BUDGET, RingContext, eval_naive, eval_sentence
+from .errors import (
+    EngineDisagreementError,
+    ParseError,
+    ResourceLimitError,
+    RingSpectraError,
+)
+from .evaluate import DEFAULT_TUPLE_BUDGET, RingContext, eval_sentence, naive_rows
 from .logic import formula_to_text, free_vars, parse_formula
 from .spectra import Spectrum, fit_congruences, from_members, spectrum
 
@@ -118,18 +122,6 @@ def _relation_rows(formula, names, ctx):
     return [tuple(int(row[i]) for i in order) for row in rel.rows]
 
 
-def _naive_rows(formula, names, ctx):
-    if ctx.m ** len(names) > ctx.tuple_budget:
-        raise ResourceLimitError(
-            f"naive enumeration over {len(names)} variables exceeds the tuple budget"
-        )
-    rows = []
-    for values in itertools.product(range(ctx.m), repeat=len(names)):
-        if eval_naive(ctx, formula, dict(zip(names, values))):
-            rows.append(values)
-    return rows
-
-
 def _cmd_eval(args) -> int:
     formula = _load_formula(args.formula)
     names = sorted(free_vars(formula))
@@ -142,13 +134,15 @@ def _cmd_eval(args) -> int:
     budget = args.tuple_budget or DEFAULT_TUPLE_BUDGET
     ctx = RingContext(args.modulus, tuple_budget=budget)
     if args.engine == "naive":
-        rows = _naive_rows(formula, names, ctx)
-    elif args.engine == "both":
-        rows = _relation_rows(formula, names, ctx)
-        if rows != _naive_rows(formula, names, ctx):
-            raise AssertionError(f"engines disagree at m={args.modulus}")
+        rows = naive_rows(ctx, formula, names, ctx.tuple_budget)
     else:
         rows = _relation_rows(formula, names, ctx)
+    if args.engine == "both":
+        naive = naive_rows(ctx, formula, names, ctx.tuple_budget)
+        if rows != naive:
+            raise EngineDisagreementError(
+                formula_to_text(formula), args.modulus, naive, rows
+            )
     lines = [",".join(names)]
     lines.extend(",".join(str(v) for v in row) for row in rows)
     sys.stdout.write("\n".join(lines) + "\n")
@@ -243,9 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a formula in Z_m")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--formula", required=True, help="formula file, or - for stdin")
-    p.add_argument(
-        "--engine", choices=("auto", "naive", "fast", "both"), default="auto"
-    )
+    p.add_argument("--engine", choices=("naive", "fast", "both"), default="fast")
     p.add_argument("--tuple-budget", type=int, default=None)
     p.set_defaults(fn=_cmd_eval)
 
@@ -304,7 +296,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
-    except AssertionError as exc:
+    except EngineDisagreementError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return EXIT_VERIFY
     except (RingSpectraError, ValueError) as exc:

@@ -31,3 +31,28 @@ class DegenerateInputError(RingSpectraError):
 
 class NoInverseError(RingSpectraError):
     """A modular inverse was requested for a non-invertible element."""
+
+
+def _describe(value) -> str:
+    return f"{len(value)} rows" if isinstance(value, list) else str(value)
+
+
+class EngineDisagreementError(RingSpectraError):
+    """The reference and relational engines gave different answers.
+
+    Carries the formula text, the modulus and both engines' values.
+    """
+
+    def __init__(self, text: str, m: int, naive, fast):
+        self.text = text
+        self.m = m
+        self.naive = naive
+        self.fast = fast
+        super().__init__(
+            f"engines disagree at m={m}: naive={_describe(naive)}"
+            f" fast={_describe(fast)} on {text}"
+        )
+
+
+class InvariantError(RingSpectraError):
+    """An internal consistency check failed: a bug in this package, not bad input."""

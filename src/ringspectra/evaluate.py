@@ -1,17 +1,19 @@
-"""Reference evaluation of formulas over Z_m, plus the engine dispatcher.
+"""Reference evaluation of formulas over Z_m, and eval_sentence.
 
 eval_naive is the semantic definition: direct recursion, one nested loop
 per quantifier.  It is deliberately simple so the fast relational engine
-can be checked against it; see fastengine.py for that engine.
+can be checked against it; see fastengine.py for that engine, which is
+the one eval_sentence uses unless asked for the reference or for both.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .errors import ResourceLimitError
+from .errors import EngineDisagreementError, ResourceLimitError
 from .logic import (
     Add,
     And,
@@ -30,6 +32,7 @@ from .logic import (
     Or,
     Term,
     Var,
+    formula_to_text,
     require_sentence,
 )
 
@@ -40,10 +43,6 @@ DEFAULT_TUPLE_BUDGET = 50_000_000
 # sweeps and single evaluations share one limit.
 MAX_MODULUS = 5_000_000
 
-# naive evaluation is used by the dispatcher while its estimated inner-loop
-# count stays below this
-_NAIVE_COST_CEILING = 40_000
-
 
 @dataclass
 class RingContext:
@@ -52,7 +51,6 @@ class RingContext:
     m: int
     strict_literals: bool = False
     tuple_budget: int = DEFAULT_TUPLE_BUDGET
-    complement_width_cap: int = 3
 
     def __post_init__(self):
         if self.m < 1:
@@ -123,49 +121,36 @@ def eval_naive(ctx: RingContext, f: Formula, env: dict[str, int] | None = None) 
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (Equal, Less, IntTimes)):
-        return 0
-    if isinstance(f, Not):
-        return _quantifier_depth(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return max(_quantifier_depth(f.left), _quantifier_depth(f.right))
-    return 1 + _quantifier_depth(f.body)
-
-
-def _node_count(f: Formula) -> int:
-    if isinstance(f, (Equal, Less, IntTimes)):
-        return 1
-    if isinstance(f, Not):
-        return 1 + _node_count(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return 1 + _node_count(f.left) + _node_count(f.right)
-    return 1 + _node_count(f.body)
-
-
-def naive_cost_estimate(f: Formula, m: int) -> int:
-    """Rough inner-loop count for eval_naive, used by the dispatcher."""
-    cost = _node_count(f)
-    for _ in range(_quantifier_depth(f)):
-        cost *= m
-        if cost > 10**18:
-            break
-    return cost
+def naive_rows(ctx: RingContext, f: Formula, cols: Sequence[str], cap: int) -> list:
+    """Assignments to cols satisfying f, in lexicographic order, one
+    eval_naive call each; ResourceLimitError past cap assignments."""
+    total = ctx.m ** len(cols)
+    if total > cap:
+        raise ResourceLimitError(
+            f"{total} assignments are too many for per-assignment evaluation"
+            f" of: {formula_to_text(f)[:100]}"
+        )
+    return [
+        vals
+        for vals in itertools.product(range(ctx.m), repeat=len(cols))
+        if eval_naive(ctx, f, dict(zip(cols, vals)))
+    ]
 
 
 def eval_sentence(
     sentence: Formula,
     m: int,
-    engine: str = "auto",
+    engine: str = "fast",
     *,
     strict_literals: bool = False,
     tuple_budget: Optional[int] = None,
 ) -> bool:
     """Evaluate a closed formula in Z_m.
 
-    engine is "auto" (cost-based dispatch), "naive", "fast", or "both";
-    "both" runs the two engines and raises if they ever disagree.  A
-    tuple_budget of None means the default cap.
+    engine is "fast" (the relational engine), "naive" (the reference
+    evaluator), or "both", which runs the two and raises
+    EngineDisagreementError if they disagree.  A tuple_budget of None
+    means the default cap.
     """
     from .fastengine import eval_fast_bool
 
@@ -181,12 +166,8 @@ def eval_sentence(
         got_naive = eval_naive(ctx, sentence)
         got_fast = eval_fast_bool(ctx, sentence)
         if got_naive != got_fast:
-            raise AssertionError(
-                f"engines disagree at m={m}: naive={got_naive} fast={got_fast}"
+            raise EngineDisagreementError(
+                formula_to_text(sentence), m, got_naive, got_fast
             )
         return got_naive
-    if engine != "auto":
-        raise ValueError(f"unknown engine {engine!r}")
-    if naive_cost_estimate(sentence, m) <= _NAIVE_COST_CEILING:
-        return eval_naive(ctx, sentence)
-    return eval_fast_bool(ctx, sentence)
+    raise ValueError(f"unknown engine {engine!r}")

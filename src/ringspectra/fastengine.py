@@ -18,15 +18,14 @@ agree on every formula and modulus.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .evaluate import RingContext, eval_naive, eval_term
+from .errors import InvariantError, ResourceLimitError
+from .evaluate import MAX_MODULUS, RingContext, eval_naive, eval_term, naive_rows
 from .logic import (
     Add,
     And,
@@ -52,13 +51,15 @@ from .logic import (
 )
 
 _ATOMS = (Equal, Less, IntTimes)
-_COUNTING = (ModExists, Majority, CountGE)
 
 # packed row keys must fit in int64
 _PACK_LIMIT = 2**62
 # vectorized scans are cheaper per cell than materialized tuples
 _SCAN_DISCOUNT = 64
 _CHUNK = 1 << 20
+# complements of relations wider than this many columns are not
+# materialized; those nodes fall back to _materialize_naive
+_COMPLEMENT_WIDTH_CAP = 3
 # caps for the slow fallback paths
 _NAIVE_CAP = 2_000_000
 _LINEAR_LOOP_CAP = 300_000
@@ -252,7 +253,7 @@ def _complement(ctx: RingContext, rel: Relation, node: Formula) -> Relation | No
     k = len(rel.cols)
     if k == 0:
         return _bool_rel(rel.nrows == 0)
-    if k > ctx.complement_width_cap:
+    if k > _COMPLEMENT_WIDTH_CAP:
         return None
     total = m**k
     _charge(ctx, total, node)
@@ -279,7 +280,12 @@ def _anti_join(ctx: RingContext, a: Relation, b: Relation) -> Relation:
 
 
 def _group_drop(ctx: RingContext, rel: Relation, v: str):
-    """Group rows by all columns except v; returns (cols, groups, counts)."""
+    """Group rows by all columns except v; returns (cols, groups, counts).
+
+    Without a v column, every row stands for all m values of v."""
+    if v not in rel.cols:
+        groups = rel.rows if rel.cols else np.zeros((1, 0), dtype=np.int64)
+        return rel.cols, groups, np.full(len(groups), ctx.m if rel.nrows else 0)
     V0 = tuple(c for c in rel.cols if c != v)
     if not V0:
         return V0, np.zeros((1, 0), dtype=np.int64), np.array([rel.nrows])
@@ -294,19 +300,13 @@ def _group_drop(ctx: RingContext, rel: Relation, v: str):
 
 
 def _materialize_naive(ctx: RingContext, node: Formula) -> Relation:
-    """Last-resort per-assignment evaluation via the reference engine."""
+    """Per-assignment evaluation via the reference engine.
+
+    The fallback for a complement wider than _COMPLEMENT_WIDTH_CAP columns
+    (a negated quantifier or a counting quantifier under many free
+    variables); it only runs while m**width stays within _NAIVE_CAP."""
     cols = tuple(sorted(free_vars(node)))
-    total = ctx.m ** len(cols)
-    if total > min(ctx.tuple_budget, _NAIVE_CAP):
-        raise ResourceLimitError(
-            f"complement width exceeds cap and {total} assignments are too "
-            f"many for per-assignment evaluation of: {_snip(node)}"
-        )
-    rows = [
-        vals
-        for vals in itertools.product(range(ctx.m), repeat=len(cols))
-        if eval_naive(ctx, node, dict(zip(cols, vals)))
-    ]
+    rows = naive_rows(ctx, node, cols, min(ctx.tuple_budget, _NAIVE_CAP))
     return Relation(cols, np.array(rows, dtype=np.int64).reshape(-1, len(cols)))
 
 
@@ -553,12 +553,30 @@ def _less_rel(ctx: RingContext, atom: Less, negate: bool, node: Formula) -> Rela
 _TIMES_TABLE: dict = {"bound": 0, "rows": None}
 
 
+def _times_size(bound: int) -> int:
+    """Rows of the table to bound: pairs x, y >= 1 with x*y < bound."""
+    n = bound - 1
+    r = math.isqrt(n)
+    return 2 * int((n // np.arange(1, r + 1, dtype=np.int64)).sum()) - r * r
+
+
 def _times_table(ctx: RingContext, m: int, node: Formula) -> np.ndarray:
     """Triples (x, y, x*y) with x, y >= 1 and x*y < m, sorted by product.
 
-    Cached at the largest bound built so far and sliced per modulus."""
+    Cached at the largest bound built so far and sliced per modulus.  The
+    bound grows geometrically, so a sweep rebuilds rarely, but only as far
+    as the tuple budget admits: whether m fits never depends on what ran
+    before."""
     if m > _TIMES_TABLE["bound"]:
-        bound = min(max(m, 2 * _TIMES_TABLE["bound"], 4096), 5_000_000)
+        lo = m
+        hi = min(max(m, 2 * _TIMES_TABLE["bound"], 4096), MAX_MODULUS)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if _times_size(mid) <= ctx.tuple_budget:
+                lo = mid
+            else:
+                hi = mid - 1
+        bound = lo
         a_range = np.arange(1, bound, dtype=np.int64)
         counts = (bound - 1) // a_range
         total = int(counts.sum())
@@ -704,17 +722,7 @@ def _count_filter(ctx: RingContext, notq: Not) -> _Filter:
     q = notq.body
     m = ctx.m
     body = eval_rel(ctx, q.body)
-    v = q.var
-    if v in body.cols:
-        V0, groups, counts = _group_drop(ctx, body, v)
-    else:
-        V0 = body.cols
-        if not V0:
-            groups = np.zeros((1, 0), dtype=np.int64)
-            counts = np.array([m if body.nrows else 0])
-        else:
-            groups = body.rows
-            counts = np.full(body.nrows, m, dtype=np.int64)
+    V0, groups, counts = _group_drop(ctx, body, q.var)
     if V0:
         gkeys = _pack_arrays([groups[:, j] for j in range(len(V0))], m)
         if gkeys is None:
@@ -980,7 +988,8 @@ def _eval_and(
         if var not in cur.cols:
             cur = _extend(ctx, cur, var, node)
             cur = _apply_filters(ctx, cur, filters)
-    assert not filters, "unapplied filters in conjunction"
+    if filters:
+        raise InvariantError(f"unapplied filters in conjunction: {_snip(node)}")
     return cur
 
 
@@ -1115,16 +1124,7 @@ def _eval_quant(ctx: RingContext, node) -> Relation:
         if v not in body.cols:
             return body
         return _project(ctx, body, tuple(c for c in body.cols if c != v))
-    if v in body.cols:
-        V0, groups, counts = _group_drop(ctx, body, v)
-    elif not body.cols:
-        V0 = ()
-        groups = np.zeros((1, 0), dtype=np.int64)
-        counts = np.array([m if body.nrows else 0])
-    else:
-        V0 = body.cols
-        groups = body.rows
-        counts = np.full(body.nrows, m, dtype=np.int64)
+    V0, groups, counts = _group_drop(ctx, body, v)
     if isinstance(node, ModExists):
         if node.residue != 0:
             return Relation(V0, groups[counts % node.modulus == node.residue])

@@ -156,15 +156,11 @@ def class_spectrum(d: int, residues: Iterable[int], bound: int) -> Spectrum:
 
 
 def _eval_chunk(args) -> list[bool]:
-    sentence, primes, engine, tuple_budget = args
+    sentence, primes, tuple_budget = args
     out = []
     for p in primes:
         try:
-            out.append(
-                eval_sentence(
-                    sentence, int(p), engine=engine, tuple_budget=tuple_budget
-                )
-            )
+            out.append(eval_sentence(sentence, int(p), tuple_budget=tuple_budget))
         except RingSpectraError as exc:
             raise type(exc)(f"{exc} (at prime {p})") from None
     return out
@@ -175,10 +171,9 @@ def spectrum(
     bound: int = DEFAULT_SPECTRUM_BOUND,
     workers: Optional[int] = None,
     *,
-    engine: str = "auto",
     tuple_budget: Optional[int] = None,
 ) -> Spectrum:
-    """Evaluate a sentence at every prime p <= bound.
+    """Evaluate a sentence at every prime p <= bound with the relational engine.
 
     Work is split into contiguous prime ranges handled by forked workers;
     the merge preserves prime order, so the result is identical for any
@@ -191,11 +186,11 @@ def spectrum(
     primes = table.primes
     workers = resolve_workers(workers)
     if workers == 1 or len(primes) < 4 * workers:
-        bits = _eval_chunk((s, primes, engine, tuple_budget))
+        bits = _eval_chunk((s, primes, tuple_budget))
         return Spectrum(bound, np.asarray(bits, dtype=bool))
     # finer chunks than workers so late (large, slower) primes balance out
     chunks = np.array_split(primes, 4 * workers)
-    jobs = [(s, chunk, engine, tuple_budget) for chunk in chunks if len(chunk)]
+    jobs = [(s, chunk, tuple_budget) for chunk in chunks if len(chunk)]
     with get_context("fork").Pool(workers) as pool:
         parts = pool.map(_eval_chunk, jobs)
     bits = [b for part in parts for b in part]

@@ -35,6 +35,7 @@ from .density import (
     pnt_bounds_check,
     pnt_log_thin_surrogate,
 )
+from .errors import EngineDisagreementError
 from .evaluate import RingContext, eval_sentence
 from .fastengine import eval_fast
 from .logic import parse_sentence, random_sentence
@@ -82,8 +83,8 @@ def _members(s) -> list[int]:
 
 
 def _claim_1(bound: int, workers):
-    s1 = spectrum(parse_sentence(X_SQ_PLUS_1), bound, workers, engine="fast")
-    s2 = spectrum(parse_sentence(X_SQ_MINUS_2), bound, workers, engine="fast")
+    s1 = spectrum(parse_sentence(X_SQ_PLUS_1), bound, workers)
+    s2 = spectrum(parse_sentence(X_SQ_MINUS_2), bound, workers)
     want1 = union(class_spectrum(4, [1], bound), from_members([2], bound))
     want2 = union(class_spectrum(8, [1, 7], bound), from_members([2], bound))
     ok = s1 == want1 and s2 == want2
@@ -97,8 +98,8 @@ def _claim_1(bound: int, workers):
 
 
 def _claim_2(bound: int, workers):
-    s1 = spectrum(parse_sentence(X_SQ_PLUS_1), bound, workers, engine="fast")
-    s2 = spectrum(parse_sentence(X_SQ_MINUS_2), bound, workers, engine="fast")
+    s1 = spectrum(parse_sentence(X_SQ_PLUS_1), bound, workers)
+    s2 = spectrum(parse_sentence(X_SQ_MINUS_2), bound, workers)
     carve = intersection(complement(s2), s1)
     want = class_spectrum(8, [5], bound)
     report = almost_equal(carve, want)
@@ -110,7 +111,7 @@ def _claim_3(bound: int, workers):
     bad_containment = []
     stray = {}
     for n in range(2, 21):
-        sp = spectrum(cyclotomic_sentence(n), bound, workers, engine="fast")
+        sp = spectrum(cyclotomic_sentence(n), bound, workers)
         cls = class_spectrum(n, [1 % n], bound)
         if intersection(cls, complement(sp)).count():
             bad_containment.append(n)
@@ -144,7 +145,7 @@ def _claim_5(bound: int, workers):
     for d in range(2, 13):
         for a in range(1, d):
             pairs += 1
-            sp = spectrum(congruence_sentence(a, d), bound, workers, engine="fast")
+            sp = spectrum(congruence_sentence(a, d), bound, workers)
             for p, member in zip(table.primes, sp.bits):
                 p = int(p)
                 if p > d and bool(member) != (p % d == a):
@@ -157,7 +158,7 @@ def _claim_6(bound: int, workers):
     exceptions = {}
     ok = True
     for n, d, r in ((3, 3, 1), (4, 4, 1), (3, 6, 4)):
-        sp = spectrum(power_residue_sentence(n, d, r), bound, workers, engine="fast")
+        sp = spectrum(power_residue_sentence(n, d, r), bound, workers)
         want = class_spectrum(n * d, [(r * n + 1) % (n * d)], bound)
         report = almost_equal(sp, want, threshold=n * d)
         exceptions[f"n={n} d={d} r={r}"] = report.exceptions
@@ -166,7 +167,7 @@ def _claim_6(bound: int, workers):
 
 
 def _claim_7(bound: int, workers):
-    sp = spectrum(psi_sentence(3), bound, workers, engine="fast")
+    sp = spectrum(psi_sentence(3), bound, workers)
 
     def in_window(p: int) -> bool:
         low = 9
@@ -259,7 +260,7 @@ def _claim_12(bound: int, workers):
             cases += 1
             try:
                 eval_sentence(s, m, engine="both")
-            except AssertionError:
+            except EngineDisagreementError:
                 disagreements += 1
     return disagreements == 0, {"cases": cases, "disagreements": disagreements}
 

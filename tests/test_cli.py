@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ringspectra import fastengine
 from ringspectra.cli import main
 
 X_SQ_PLUS_1 = "E x. (((x * x) + 1) = 0)\n"
@@ -205,3 +206,33 @@ def test_spectrum_rejects_open_formula(tmp_path, capsys):
     path = formula_file(tmp_path, "(x = 1)")
     code, _, err = run(capsys, "spectrum", "--formula", path, "--bound", "100")
     assert code == 2
+
+
+def test_engine_disagreement_exits_1(tmp_path, capsys, monkeypatch):
+    closed = formula_file(tmp_path, X_SQ_PLUS_1)
+    open_ = formula_file(tmp_path, "((x * x) = 1)", "open.rng")
+    real_bool, real_rel = fastengine.eval_fast_bool, fastengine.eval_fast
+    monkeypatch.setattr(fastengine, "eval_fast_bool", lambda c, f: not real_bool(c, f))
+    code, out, err = run(
+        capsys, "eval", "--modulus", "5", "--formula", closed, "--engine", "both"
+    )
+    assert (code, out) == (1, "")
+    assert "verification failure: engines disagree at m=5" in err
+
+    def drop_first_row(c, f):
+        rel = real_rel(c, f)
+        return fastengine.Relation(rel.cols, rel.rows[1:])
+
+    monkeypatch.setattr(fastengine, "eval_fast", drop_first_row)
+    code, _, err = run(
+        capsys, "eval", "--modulus", "8", "--formula", open_, "--engine", "both"
+    )
+    assert code == 1 and "naive=4 rows fast=3 rows" in err
+
+
+def test_eval_rejects_the_auto_engine(tmp_path, capsys):
+    path = formula_file(tmp_path, X_SQ_PLUS_1)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--modulus", "5", "--formula", path, "--engine", "auto"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'auto'" in capsys.readouterr().err

@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from ringspectra.errors import ResourceLimitError
+from ringspectra import fastengine, verify
+from ringspectra.errors import (
+    EngineDisagreementError,
+    InvariantError,
+    ResourceLimitError,
+    RingSpectraError,
+)
 from ringspectra.evaluate import RingContext, eval_naive, eval_sentence
 from ringspectra.fastengine import eval_fast, eval_fast_bool
 from ringspectra.logic import (
@@ -196,8 +202,9 @@ def test_eval_sentence_dispatch_and_both_mode():
     assert eval_sentence(s, 7, engine="fast") is True
     assert eval_sentence(s, 7, engine="both") is True
     assert eval_sentence(s, 9, engine="both") is False
-    with pytest.raises(ValueError):
-        eval_sentence(s, 7, engine="warp")
+    for unknown in ("warp", "auto"):
+        with pytest.raises(ValueError):
+            eval_sentence(s, 7, engine=unknown)
     with pytest.raises(ValueError):
         eval_sentence(parse_formula("x = 1"), 7)
 
@@ -207,3 +214,99 @@ def test_modulus_validation():
         RingContext(0)
     with pytest.raises(ResourceLimitError):
         RingContext(6_000_000)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_wide_negated_quantifier_falls_back_to_naive(monkeypatch):
+    # the negated E e. has four free variables, wider than the complement
+    # cap, so the relational engine evaluates it assignment by assignment
+    s = parse_sentence(
+        "A a. A b. A c. A d. ((E e. (((a + b) + (c * d)) = (e * e)))"
+        " | ((a + c) = (b * d)))"
+    )
+    calls = _counting(monkeypatch, fastengine, "_materialize_naive")
+    got = [eval_sentence(s, m, engine="both") for m in range(1, 8)]
+    assert got == [True, True, False, False, False, False, False]
+    assert len(calls) == 7
+
+
+def test_engine_disagreement_is_typed(monkeypatch):
+    s = parse_sentence("E x. ((x * x) = 2)")
+    real = fastengine.eval_fast_bool
+    monkeypatch.setattr(fastengine, "eval_fast_bool", lambda ctx, f: not real(ctx, f))
+    with pytest.raises(EngineDisagreementError) as exc:
+        eval_sentence(s, 7, engine="both")
+    err = exc.value
+    assert isinstance(err, RingSpectraError) and not isinstance(err, AssertionError)
+    assert (err.m, err.naive, err.fast) == (7, True, False)
+    assert err.text == formula_to_text(s)
+
+
+def test_claim_12_counts_only_disagreements(monkeypatch):
+    def fake(s, m, engine):
+        if m == 40:
+            raise EngineDisagreementError("s", m, True, False)
+        return True
+
+    monkeypatch.setattr(verify, "eval_sentence", fake)
+    assert verify._claim_12(100, 1) == (False, {"cases": 20_000, "disagreements": 500})
+
+    def broken(s, m, engine):
+        raise InvariantError("broken")
+
+    monkeypatch.setattr(verify, "eval_sentence", broken)
+    with pytest.raises(InvariantError):
+        verify._claim_12(100, 1)
+
+
+def test_unapplied_filters_raise_invariant_error(monkeypatch):
+    # an _apply_filters that never applies anything leaves every filter over
+    monkeypatch.setattr(fastengine, "_apply_filters", lambda ctx, cur, filters: cur)
+    s = parse_sentence("E x. E y. ((x = y) & (x < 3))")
+    with pytest.raises(InvariantError, match="unapplied filters"):
+        eval_fast_bool(RingContext(5), s)
+
+
+TIMES_SENTENCE = "E x. E y. E z. (TIMES(x, y, z) & (z = 6) & (x = 2))"
+
+
+def _times_outcomes(moduli, budget):
+    """Outcome of TIMES_SENTENCE at each modulus in turn, from an empty table."""
+    fastengine._TIMES_TABLE.update(bound=0, rows=None)
+    s = parse_sentence(TIMES_SENTENCE)
+    out = []
+    for m in moduli:
+        try:
+            out.append(eval_sentence(s, m, tuple_budget=budget))
+        except ResourceLimitError:
+            out.append("limit")
+    return out
+
+
+def test_times_table_is_charged_at_the_size_the_modulus_needs(monkeypatch):
+    monkeypatch.setattr(fastengine, "_TIMES_TABLE", {"bound": 0, "rows": None})
+    assert _times_outcomes([101], 20_000) == [True]
+
+
+def test_times_table_outcome_does_not_depend_on_order(monkeypatch):
+    monkeypatch.setattr(fastengine, "_TIMES_TABLE", {"bound": 0, "rows": None})
+    moduli = [5, 101, 1200, 2000, 2100, 2400, 3000]
+    alone = [_times_outcomes([m], 20_000)[0] for m in moduli]
+    assert alone == [False, True, True, True, "limit", "limit", "limit"]
+    assert _times_outcomes(moduli, 20_000) == alone
+    assert _times_outcomes(moduli[::-1], 20_000) == alone[::-1]
+    # with room to spare, the table grows geometrically across a sweep
+    _times_outcomes([101, 4099, 4111, 4127], 10**7)
+    assert fastengine._TIMES_TABLE["bound"] == 8192

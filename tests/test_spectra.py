@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from ringspectra import evaluate, fastengine
 from ringspectra.arith import IntPolynomial, cyclotomic, poly_roots_mod, sieve
+from ringspectra.constructions import cyclotomic_sentence
 from ringspectra.errors import DegenerateInputError, ResourceLimitError
 from ringspectra.logic import parse_sentence
 from ringspectra.spectra import (
@@ -230,3 +232,22 @@ def test_poly_spectrum_counts_vanishing_reduction_as_member():
     s = poly_spectrum(f, 30)
     assert 2 in s and 3 in s
     assert (5 in s) == bool(poly_roots_mod(IntPolynomial((1, 0, 1)), 5))
+
+
+def test_default_spectrum_never_calls_the_reference_evaluator(monkeypatch):
+    s = cyclotomic_sentence(20)
+    calls = []
+    original = evaluate.eval_naive
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # both names under which the package reaches the reference evaluator
+    monkeypatch.setattr(evaluate, "eval_naive", counting)
+    monkeypatch.setattr(fastengine, "eval_naive", counting)
+    sp = spectrum(s, 500, workers=1)
+    assert calls == []
+    naive = [evaluate.eval_sentence(s, int(p), engine="naive") for p in sp.table.primes]
+    assert len(calls) >= len(naive) > 0  # the wrapper does see reference calls
+    assert sp.bits.tolist() == naive
