@@ -1,7 +1,10 @@
 """Relational evaluation of formulas over Z_m on numpy columns.
 
-The engine normalizes a formula (unique bound names, negation pushed down
-to atoms and quantifiers) and then evaluates bottom-up, representing each
+Each formula is first compiled, once, into a plan: one walk renames bound
+variables apart, pushes negation down to atoms and quantifiers, flattens
+conjunctions and disjunctions, and records on every node its free
+variables and, for equations, the integer polynomial left - right.  The
+plan is then evaluated bottom-up at each modulus, representing each
 subformula by the relation of satisfying assignments over its free
 variables.  Conjunction joins relations and folds comparison atoms in as
 vectorized row filters; quantifiers aggregate per-group witness counts.
@@ -11,21 +14,24 @@ otherwise.
 
 Every materialization is charged against the context's tuple budget and
 raises ResourceLimitError naming the subformula when it would exceed it.
-eval_naive in evaluate.py is the reference semantics; the two engines must
-agree on every formula and modulus.
+The reference evaluator in evaluate.py defines the semantics; this engine
+shares no code with it, and the two must agree on every formula and
+modulus.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvariantError, ResourceLimitError
-from .evaluate import MAX_MODULUS, RingContext, eval_naive, eval_term, naive_rows
+from .evaluate import MAX_MODULUS, RingContext
 from .logic import (
     Add,
     And,
@@ -40,14 +46,11 @@ from .logic import (
     Lit,
     Majority,
     ModExists,
-    Mul,
     Not,
     Or,
     Term,
     Var,
     formula_to_text,
-    free_vars,
-    term_vars,
 )
 
 _ATOMS = (Equal, Less, IntTimes)
@@ -57,11 +60,6 @@ _PACK_LIMIT = 2**62
 # vectorized scans are cheaper per cell than materialized tuples
 _SCAN_DISCOUNT = 64
 _CHUNK = 1 << 20
-# complements of relations wider than this many columns are not
-# materialized; those nodes fall back to _materialize_naive
-_COMPLEMENT_WIDTH_CAP = 3
-# caps for the slow fallback paths
-_NAIVE_CAP = 2_000_000
 _LINEAR_LOOP_CAP = 300_000
 
 
@@ -247,14 +245,12 @@ def _extend_to(
     return rel
 
 
-def _complement(ctx: RingContext, rel: Relation, node: Formula) -> Relation | None:
-    """All assignments over rel.cols not in rel; None past the width cap."""
+def _complement(ctx: RingContext, rel: Relation, node: Formula) -> Relation:
+    """All assignments over rel.cols not in rel."""
     m = ctx.m
     k = len(rel.cols)
     if k == 0:
         return _bool_rel(rel.nrows == 0)
-    if k > _COMPLEMENT_WIDTH_CAP:
-        return None
     total = m**k
     _charge(ctx, total, node)
     present = _pack_arrays([rel.rows[:, j] for j in range(k)], m)
@@ -299,51 +295,13 @@ def _group_drop(ctx: RingContext, rel: Relation, v: str):
     return V0, groups, counts
 
 
-def _materialize_naive(ctx: RingContext, node: Formula) -> Relation:
-    """Per-assignment evaluation via the reference engine.
-
-    The fallback for a complement wider than _COMPLEMENT_WIDTH_CAP columns
-    (a negated quantifier or a counting quantifier under many free
-    variables); it only runs while m**width stays within _NAIVE_CAP."""
-    cols = tuple(sorted(free_vars(node)))
-    rows = naive_rows(ctx, node, cols, min(ctx.tuple_budget, _NAIVE_CAP))
-    return Relation(cols, np.array(rows, dtype=np.int64).reshape(-1, len(cols)))
-
-
 # ---------------------------------------------------------------------------
-# terms: polynomial extraction and column evaluation
+# terms: polynomials and column evaluation
 
 
-def _poly_of_term(ctx: RingContext, t: Term, order: tuple[str, ...]) -> dict:
-    """Multivariate integer polynomial {exponent tuple: coefficient}."""
-    zero = (0,) * len(order)
-    if isinstance(t, Var):
-        e = list(zero)
-        e[order.index(t.name)] = 1
-        return {tuple(e): 1}
-    if isinstance(t, Lit):
-        v = ctx.reduce_literal(t.value)
-        return {zero: v} if v else {}
-    a = _poly_of_term(ctx, t.left, order)
-    b = _poly_of_term(ctx, t.right, order)
-    out: dict = {}
-    if isinstance(t, Add):
-        for d in (a, b):
-            for e, c in d.items():
-                out[e] = out.get(e, 0) + c
-    else:
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def _poly_diff(ctx: RingContext, l: Term, r: Term, order: tuple[str, ...]) -> dict:
-    out = dict(_poly_of_term(ctx, l, order))
-    for e, c in _poly_of_term(ctx, r, order).items():
-        out[e] = out.get(e, 0) - c
-    return {e: c for e, c in out.items() if c % ctx.m}
+def _poly_mod(poly: dict, m: int) -> dict:
+    """A compiled polynomial's nonzero coefficients reduced mod m."""
+    return {e: c % m for e, c in poly.items() if c % m}
 
 
 def _poly_eval_cols(poly: dict, cols: dict, order: tuple[str, ...], m: int, n: int):
@@ -361,7 +319,7 @@ def _eval_term_cols(ctx: RingContext, t: Term, cols: dict):
     if isinstance(t, Var):
         return cols[t.name]
     if isinstance(t, Lit):
-        return ctx.reduce_literal(t.value)
+        return t.value % ctx.m
     a = _eval_term_cols(ctx, t.left, cols)
     b = _eval_term_cols(ctx, t.right, cols)
     if isinstance(t, Add):
@@ -392,11 +350,9 @@ def _atom_mask(ctx: RingContext, atom: Formula, cols: dict, n: int) -> np.ndarra
 # atom relations
 
 
-def _grid_rel(
-    ctx: RingContext, atom: Formula, negate: bool, node: Formula
-) -> Relation:
+def _grid_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
     """Scan the full assignment grid of the atom's free variables."""
-    fvs = tuple(sorted(free_vars(atom)))
+    fvs = atom.fv
     k = len(fvs)
     m = ctx.m
     total = m**k
@@ -410,7 +366,7 @@ def _grid_rel(
         for name in reversed(fvs):
             cols[name] = rest % m
             rest = rest // m
-        mask = _atom_mask(ctx, atom, cols, idx.size)
+        mask = _atom_mask(ctx, atom.node, cols, idx.size)
         if negate:
             mask = ~mask
         hit = idx[mask]
@@ -445,11 +401,11 @@ def _linear_solutions(a: int, rhs: np.ndarray, m: int):
     return mask, base, mg, g
 
 
-def _equal_rel(ctx: RingContext, atom: Equal, negate: bool, node: Formula) -> Relation:
+def _equal_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
     m = ctx.m
-    fvs = tuple(sorted(free_vars(atom)))
+    fvs = atom.fv
     k = len(fvs)
-    poly = _poly_diff(ctx, atom.left, atom.right, fvs)
+    poly = _poly_mod(atom.poly, m)
     if k == 1:
         coeffs = _univar_coeffs(poly, m)
         if not coeffs:
@@ -537,13 +493,13 @@ def _linear_var_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
     return _make_rel((u, v), [np.concatenate(us), np.concatenate(vs)])
 
 
-def _less_rel(ctx: RingContext, atom: Less, negate: bool, node: Formula) -> Relation:
-    fvs = tuple(sorted(free_vars(atom)))
+def _less_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
+    fvs = atom.fv
     if len(fvs) == 1:
         m = ctx.m
         _charge(ctx, m, node)
         grid = np.arange(m, dtype=np.int64)
-        mask = _atom_mask(ctx, atom, {fvs[0]: grid}, m)
+        mask = _atom_mask(ctx, atom.node, {fvs[0]: grid}, m)
         if negate:
             mask = ~mask
         return Relation(fvs, grid[mask].reshape(-1, 1))
@@ -594,14 +550,12 @@ def _times_table(ctx: RingContext, m: int, node: Formula) -> np.ndarray:
     return rows[:cut]
 
 
-def _times_rel(
-    ctx: RingContext, atom: IntTimes, negate: bool, node: Formula
-) -> Relation:
+def _times_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
     m = ctx.m
-    slots = (atom.x, atom.y, atom.z)
+    slots = (atom.node.x, atom.node.y, atom.node.z)
     if negate or not all(isinstance(s, (Var, Lit)) for s in slots):
         return _grid_rel(ctx, atom, negate, node)
-    vals = [ctx.reduce_literal(s.value) if isinstance(s, Lit) else None for s in slots]
+    vals = [s.value % m if isinstance(s, Lit) else None for s in slots]
     names: list[str] = []
     for s in slots:
         if isinstance(s, Var) and s.name not in names:
@@ -684,13 +638,12 @@ def _times_two_var(ctx, slots, vals, node) -> Relation:
     return Relation(rel.cols, _dedup_rows(rel.rows, m))
 
 
-def _atom_rel(ctx: RingContext, atom: Formula, negate: bool, node: Formula) -> Relation:
-    if not free_vars(atom):
-        value = eval_naive(ctx, atom, {})
-        return _bool_rel(value != negate)
-    if isinstance(atom, Equal):
+def _atom_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
+    if not atom.fv:
+        return _bool_rel(bool(_atom_mask(ctx, atom.node, {}, 1)[0]) != negate)
+    if isinstance(atom.node, Equal):
         return _equal_rel(ctx, atom, negate, node)
-    if isinstance(atom, Less):
+    if isinstance(atom.node, Less):
         return _less_rel(ctx, atom, negate, node)
     return _times_rel(ctx, atom, negate, node)
 
@@ -705,38 +658,35 @@ class _Filter:
     fn: Callable[[dict], np.ndarray]
 
 
-def _atom_filter(ctx: RingContext, conj: Formula) -> _Filter:
-    negate = isinstance(conj, Not)
-    atom = conj.body if negate else conj
+def _atom_filter(ctx: RingContext, conj: _Plan) -> _Filter:
+    negate = isinstance(conj.node, Not)
+    atom = conj.kids[0] if negate else conj
 
     def fn(cols: dict) -> np.ndarray:
         n = len(next(iter(cols.values())))
-        mask = _atom_mask(ctx, atom, cols, n)
+        mask = _atom_mask(ctx, atom.node, cols, n)
         return ~mask if negate else mask
 
-    return _Filter(frozenset(free_vars(atom)), fn)
+    return _Filter(frozenset(atom.fv), fn)
 
 
-def _count_filter(ctx: RingContext, notq: Not) -> _Filter:
+def _count_filter(ctx: RingContext, notq: _Plan) -> _Filter:
     """Filter form of a negated quantifier: per-row witness-count test."""
-    q = notq.body
+    q = notq.kids[0].node
     m = ctx.m
-    body = eval_rel(ctx, q.body)
+    body = eval_rel(ctx, notq.kids[0].kids[0])
     V0, groups, counts = _group_drop(ctx, body, q.var)
     if V0:
         gkeys = _pack_arrays([groups[:, j] for j in range(len(V0))], m)
         if gkeys is None:
             raise ResourceLimitError(
-                f"group key width too large for: {_snip(notq)}"
+                f"group key width too large for: {_snip(notq.node)}"
             )
         order = np.argsort(gkeys)
         gkeys = gkeys[order]
         gcounts = counts[order]
     else:
         base_count = int(counts[0]) if groups.shape[0] else 0
-    needed = set(V0)
-    if isinstance(q, CountGE):
-        needed |= term_vars(q.count)
 
     def fn(cols: dict) -> np.ndarray:
         n = len(next(iter(cols.values())))
@@ -759,7 +709,7 @@ def _count_filter(ctx: RingContext, notq: Not) -> _Filter:
         tv = _eval_term_cols(ctx, q.count, cols)
         return cnt < tv
 
-    return _Filter(frozenset(needed), fn)
+    return _Filter(frozenset(notq.fv), fn)
 
 
 def _apply_filters(ctx: RingContext, cur: Relation, filters: list[_Filter]) -> Relation:
@@ -776,137 +726,122 @@ def _apply_filters(ctx: RingContext, cur: Relation, filters: list[_Filter]) -> R
 
 
 # ---------------------------------------------------------------------------
-# normalization: unique bound names, negation normal form
+# compilation: one walk to the plan that every modulus evaluates
 
 
-def _collect_names(f) -> set[str]:
-    names: set[str] = set()
+@dataclass(eq=False)
+class _Plan:
+    """A node of the normal form with what evaluation needs of it.
 
-    def wt(t):
+    node is the normalised subformula: bound variables renamed apart,
+    negation only on atoms and quantifiers, Forall as Not(Exists(Not ...)),
+    no Implies.  fv are its free variables, sorted.  kids are the operands
+    of an And or Or, flattened; the body of a quantifier or of a Not; and
+    for a counting quantifier also the atom count = 0.  poly, on equations
+    only, is left - right as {exponent tuple over fv: integer coefficient},
+    coefficients unreduced."""
+
+    node: Formula
+    fv: tuple[str, ...]
+    kids: tuple[_Plan, ...] = ()
+    poly: dict | None = None
+
+
+def _union(*names: Iterable[str]) -> tuple[str, ...]:
+    return tuple(sorted(set().union(*names)))
+
+
+def _compile(formula: Formula) -> tuple[_Plan, int]:
+    """The plan of a formula, and the largest literal in it."""
+    fresh = itertools.count(1)
+    top = 0
+
+    def term(t: Term, names: dict):
+        """Renamed term, its variables and its polynomial over sorted
+        multisets of variable names."""
+        nonlocal top
         if isinstance(t, Var):
-            names.add(t.name)
-        elif isinstance(t, (Add, Mul)):
-            wt(t.left)
-            wt(t.right)
-
-    def wf(g):
-        if isinstance(g, (Equal, Less)):
-            wt(g.left)
-            wt(g.right)
-        elif isinstance(g, IntTimes):
-            wt(g.x)
-            wt(g.y)
-            wt(g.z)
-        elif isinstance(g, Not):
-            wf(g.body)
-        elif isinstance(g, (And, Or, Implies)):
-            wf(g.left)
-            wf(g.right)
-        else:
-            names.add(g.var)
-            if isinstance(g, CountGE):
-                wt(g.count)
-            wf(g.body)
-
-    wf(f)
-    return names
-
-
-def _rename_bound(f: Formula) -> Formula:
-    used = _collect_names(f)
-    slot = {}
-
-    def fresh(base: str) -> str:
-        i = slot.get(base, 0)
-        while True:
-            i += 1
-            cand = f"{base}_{i}"
-            if cand not in used:
-                slot[base] = i
-                used.add(cand)
-                return cand
-
-    def wt(t, sub):
-        if isinstance(t, Var):
-            return Var(sub.get(t.name, t.name))
+            name = names.get(t.name, t.name)
+            return Var(name), {name}, {(name,): 1}
         if isinstance(t, Lit):
-            return t
-        cls = type(t)
-        return cls(wt(t.left, sub), wt(t.right, sub))
+            top = max(top, t.value)
+            return t, set(), {(): t.value}
+        a, av, ap = term(t.left, names)
+        b, bv, bp = term(t.right, names)
+        out: dict = {}
+        if isinstance(t, Add):
+            for d in (ap, bp):
+                for e, c in d.items():
+                    out[e] = out.get(e, 0) + c
+        else:
+            for ea, ca in ap.items():
+                for eb, cb in bp.items():
+                    e = tuple(sorted(ea + eb))
+                    out[e] = out.get(e, 0) + ca * cb
+        return type(t)(a, b), av | bv, out
 
-    def wf(g, sub):
-        if isinstance(g, (Equal, Less)):
-            return type(g)(wt(g.left, sub), wt(g.right, sub))
-        if isinstance(g, IntTimes):
-            return IntTimes(wt(g.x, sub), wt(g.y, sub), wt(g.z, sub))
-        if isinstance(g, Not):
-            return Not(wf(g.body, sub))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(wf(g.left, sub), wf(g.right, sub))
-        nv = fresh(g.var)
-        inner = {**sub, g.var: nv}
-        if isinstance(g, Exists):
-            return Exists(nv, wf(g.body, inner))
-        if isinstance(g, Forall):
-            return Forall(nv, wf(g.body, inner))
-        if isinstance(g, ModExists):
-            return ModExists(g.residue, g.modulus, nv, wf(g.body, inner))
-        if isinstance(g, Majority):
-            return Majority(nv, wf(g.body, inner))
-        return CountGE(wt(g.count, sub), nv, wf(g.body, inner))
+    def atom(f: Formula, names: dict) -> _Plan:
+        if isinstance(f, IntTimes):
+            parts = [term(t, names) for t in (f.x, f.y, f.z)]
+            node = IntTimes(*(p[0] for p in parts))
+            return _Plan(node, _union(*(p[1] for p in parts)))
+        l, lv, lp = term(f.left, names)
+        r, rv, rp = term(f.right, names)
+        fv = _union(lv, rv)
+        if isinstance(f, Less):
+            return _Plan(Less(l, r), fv)
+        diff = dict(lp)
+        for e, c in rp.items():
+            diff[e] = diff.get(e, 0) - c
+        poly = {tuple(e.count(v) for v in fv): c for e, c in diff.items() if c}
+        return _Plan(Equal(l, r), fv, (), poly)
 
-    return wf(f, {})
+    def negated(p: _Plan) -> _Plan:
+        return _Plan(Not(p.node), p.fv, (p,))
 
+    def walk(f: Formula, positive: bool, names: dict) -> _Plan:
+        if isinstance(f, _ATOMS):
+            p = atom(f, names)
+            return p if positive else negated(p)
+        if isinstance(f, Not):
+            return walk(f.body, not positive, names)
+        if isinstance(f, (And, Or, Implies)):
+            if isinstance(f, Implies):
+                cls = Or if positive else And
+            elif positive:
+                cls = type(f)
+            else:
+                cls = Or if isinstance(f, And) else And
+            a = walk(f.left, positive != isinstance(f, Implies), names)
+            b = walk(f.right, positive, names)
+            kids = tuple(
+                k for p in (a, b) for k in (p.kids if isinstance(p.node, cls) else (p,))
+            )
+            return _Plan(cls(a.node, b.node), _union(a.fv, b.fv), kids)
+        # bound names contain a quote, which no parsed identifier does
+        var = f"{f.var}'{next(fresh)}"
+        body = walk(f.body, not isinstance(f, Forall), {**names, f.var: var})
+        fv = tuple(c for c in body.fv if c != var)
+        if isinstance(f, (Exists, Forall)):
+            q = _Plan(Exists(var, body.node), fv, (body,))
+        elif isinstance(f, ModExists):
+            q = _Plan(ModExists(f.residue, f.modulus, var, body.node), fv, (body,))
+        elif isinstance(f, Majority):
+            q = _Plan(Majority(var, body.node), fv, (body,))
+        else:
+            zero = atom(Equal(f.count, Lit(0)), names)
+            node = CountGE(zero.node.left, var, body.node)
+            q = _Plan(node, _union(fv, zero.fv), (body, zero))
+        return negated(q) if positive == isinstance(f, Forall) else q
 
-def _push(f: Formula, positive: bool) -> Formula:
-    if isinstance(f, _ATOMS):
-        return f if positive else Not(f)
-    if isinstance(f, Not):
-        return _push(f.body, not positive)
-    if isinstance(f, And):
-        if positive:
-            return And(_push(f.left, True), _push(f.right, True))
-        return Or(_push(f.left, False), _push(f.right, False))
-    if isinstance(f, Or):
-        if positive:
-            return Or(_push(f.left, True), _push(f.right, True))
-        return And(_push(f.left, False), _push(f.right, False))
-    if isinstance(f, Implies):
-        if positive:
-            return Or(_push(f.left, False), _push(f.right, True))
-        return And(_push(f.left, True), _push(f.right, False))
-    if isinstance(f, Exists):
-        inner = Exists(f.var, _push(f.body, True))
-        return inner if positive else Not(inner)
-    if isinstance(f, Forall):
-        # forall v: B  becomes  not exists v: not B
-        inner = Exists(f.var, _push(f.body, False))
-        return Not(inner) if positive else inner
-    if isinstance(f, ModExists):
-        inner = ModExists(f.residue, f.modulus, f.var, _push(f.body, True))
-    elif isinstance(f, Majority):
-        inner = Majority(f.var, _push(f.body, True))
-    else:
-        inner = CountGE(f.count, f.var, _push(f.body, True))
-    return inner if positive else Not(inner)
+    plan = walk(formula, True, {})
+    return plan, top
 
 
 @functools.lru_cache(maxsize=256)
-def _prepare(f: Formula) -> Formula:
-    return _push(_rename_bound(f), True)
-
-
-def _flat(f: Formula, cls) -> list[Formula]:
-    out: list[Formula] = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, cls):
-            stack.append(g.right)
-            stack.append(g.left)
-        else:
-            out.append(g)
-    return out
+def _plan(formula: Formula) -> tuple[_Plan, int]:
+    """_compile, cached: a sweep compiles its sentence once per process."""
+    return _compile(formula)
 
 
 # ---------------------------------------------------------------------------
@@ -915,44 +850,40 @@ def _flat(f: Formula, cls) -> list[Formula]:
 
 def _eval_and(
     ctx: RingContext,
-    conjuncts: list[Formula],
+    conjuncts: Sequence[_Plan],
     node: Formula,
-    target: tuple[str, ...] | None = None,
+    target: tuple[str, ...],
 ) -> Relation:
-    fvsets = [free_vars(c) for c in conjuncts]
-    if target is None:
-        target = tuple(sorted(set().union(*fvsets))) if fvsets else ()
     rels: list[tuple[Relation, int]] = []
     filters: list[_Filter] = []
-    deferred: list[tuple[Formula, frozenset]] = []
-    for seq, (c, fv) in enumerate(zip(conjuncts, fvsets)):
-        if not fv:
+    deferred: list[_Plan] = []
+    for seq, c in enumerate(conjuncts):
+        f = c.node
+        if not c.fv:
             if eval_rel(ctx, c).nrows == 0:
                 return _empty(target)
             continue
-        if isinstance(c, Less) or (
-            isinstance(c, Not) and isinstance(c.body, _ATOMS)
+        if isinstance(f, Less) or (
+            isinstance(f, Not) and isinstance(f.body, _ATOMS)
         ):
             filters.append(_atom_filter(ctx, c))
             continue
-        if isinstance(c, Not):
-            deferred.append((c, frozenset(fv)))
-            continue
-        if isinstance(c, Equal) and len(fv) >= 3:
-            deferred.append((c, frozenset(fv)))
-            continue
         if (
-            isinstance(c, IntTimes)
-            and len(fv) >= 3
-            and not all(isinstance(s, (Var, Lit)) for s in (c.x, c.y, c.z))
+            isinstance(f, Not)
+            or (isinstance(f, Equal) and len(c.fv) >= 3)
+            or (
+                isinstance(f, IntTimes)
+                and len(c.fv) >= 3
+                and not all(isinstance(s, (Var, Lit)) for s in (f.x, f.y, f.z))
+            )
         ):
-            deferred.append((c, frozenset(fv)))
+            deferred.append(c)
             continue
         rels.append((eval_rel(ctx, c), seq))
     covered = set().union(*(set(r.cols) for r, _ in rels)) if rels else set()
-    for c, fv in deferred:
-        if fv <= covered:
-            if isinstance(c, Not) and not isinstance(c.body, _ATOMS):
+    for c in deferred:
+        if set(c.fv) <= covered:
+            if isinstance(c.node, Not):
                 filters.append(_count_filter(ctx, c))
             else:
                 filters.append(_atom_filter(ctx, c))
@@ -993,62 +924,56 @@ def _eval_and(
     return cur
 
 
-def _eval_or(ctx: RingContext, disjuncts: list[Formula], node: Formula) -> Relation:
-    target = tuple(sorted(set().union(*(free_vars(d) for d in disjuncts))))
+def _eval_or(ctx: RingContext, p: _Plan) -> Relation:
     parts: list[np.ndarray] = []
-    for d in disjuncts:
+    for d in p.kids:
         r = eval_rel(ctx, d)
         if not r.cols and r.nrows == 0:
             continue
-        r = _extend_to(ctx, r, target, node)
+        r = _extend_to(ctx, r, p.fv, p.node)
         if r.nrows:
             parts.append(r.rows)
     if not parts:
-        return _empty(target)
-    total = sum(p.shape[0] for p in parts)
-    _charge(ctx, total, node)
-    return Relation(target, _dedup_rows(np.vstack(parts), ctx.m))
-
-
-def _eval_not(ctx: RingContext, node: Not) -> Relation:
-    inner = eval_rel(ctx, node.body)
-    comp = _complement(ctx, inner, node)
-    if comp is None:
-        return _materialize_naive(ctx, node)
-    return comp
+        return _empty(p.fv)
+    total = sum(part.shape[0] for part in parts)
+    _charge(ctx, total, p.node)
+    return Relation(p.fv, _dedup_rows(np.vstack(parts), ctx.m))
 
 
 # ---------------------------------------------------------------------------
 # quantifiers
 
 
-def _try_rank(ctx: RingContext, node) -> Relation | None:
+def _try_rank(ctx: RingContext, p: _Plan) -> Relation | None:
     """Bodies of shape (v <cmp> u) AND unary-in-v constraints: per-u witness
     counts come from the rank of u in the sorted unary witness set."""
+    node = p.node
     v = node.var
     m = ctx.m
-    flat = _flat(node.body, And)
+    body = p.kids[0]
+    flat = body.kids if isinstance(body.node, And) else (body,)
     cmp_atom = None
-    others: list[Formula] = []
+    others: list[_Plan] = []
     for c in flat:
+        f = c.node
         if (
             cmp_atom is None
-            and isinstance(c, Less)
-            and isinstance(c.left, Var)
-            and isinstance(c.right, Var)
-            and c.left.name != c.right.name
-            and v in (c.left.name, c.right.name)
+            and isinstance(f, Less)
+            and isinstance(f.left, Var)
+            and isinstance(f.right, Var)
+            and f.left.name != f.right.name
+            and v in (f.left.name, f.right.name)
         ):
-            cmp_atom = c
+            cmp_atom = f
             continue
         others.append(c)
     if cmp_atom is None:
         return None
     u = cmp_atom.right.name if cmp_atom.left.name == v else cmp_atom.left.name
     for c in others:
-        if not free_vars(c) <= {v}:
+        if not set(c.fv) <= {v}:
             return None
-    if isinstance(node, CountGE) and not term_vars(node.count) <= {u}:
+    if isinstance(node, CountGE) and not set(p.kids[1].fv) <= {u}:
         return None
     sub = _eval_and(ctx, others, node, target=(v,))
     witnesses = np.sort(sub.rows[:, 0])
@@ -1078,18 +1003,18 @@ def _try_rank(ctx: RingContext, node) -> Relation | None:
     return Relation((u,), grid[mask].reshape(-1, 1))
 
 
-def _try_linear_exists(ctx: RingContext, node: Exists) -> Relation | None:
+def _try_linear_exists(ctx: RingContext, p: _Plan) -> Relation | None:
     """Exists v over a single linear-in-v equation: solvability is a gcd
     divisibility test, vectorized over the remaining variable."""
-    body = node.body
-    if not isinstance(body, Equal):
+    body = p.kids[0]
+    if not isinstance(body.node, Equal):
         return None
-    fvs = tuple(sorted(free_vars(body)))
-    v = node.var
+    fvs = body.fv
+    v = p.node.var
     if v not in fvs or len(fvs) > 2:
         return None
     m = ctx.m
-    poly = _poly_diff(ctx, body.left, body.right, fvs)
+    poly = _poly_mod(body.poly, m)
     vi = fvs.index(v)
     if max((e[vi] for e in poly), default=0) != 1:
         return None
@@ -1101,7 +1026,7 @@ def _try_linear_exists(ctx: RingContext, node: Exists) -> Relation | None:
         return _bool_rel((-b) % m % math.gcd(a, m) == 0)
     u = fvs[1 - vi]
     grid = np.arange(m, dtype=np.int64)
-    _charge(ctx, m, node)
+    _charge(ctx, m, p.node)
     av = _poly_eval_cols(a_poly, {u: grid}, (u,), m, m)
     bv = _poly_eval_cols(b_poly, {u: grid}, (u,), m, m)
     g = np.gcd(av, m)
@@ -1109,17 +1034,18 @@ def _try_linear_exists(ctx: RingContext, node: Exists) -> Relation | None:
     return Relation((u,), grid[mask].reshape(-1, 1))
 
 
-def _eval_quant(ctx: RingContext, node) -> Relation:
+def _eval_quant(ctx: RingContext, p: _Plan) -> Relation:
+    node = p.node
     m = ctx.m
     v = node.var
-    rank = _try_rank(ctx, node)
+    rank = _try_rank(ctx, p)
     if rank is not None:
         return rank
     if isinstance(node, Exists):
-        short = _try_linear_exists(ctx, node)
+        short = _try_linear_exists(ctx, p)
         if short is not None:
             return short
-    body = eval_rel(ctx, node.body)
+    body = eval_rel(ctx, p.kids[0])
     if isinstance(node, Exists):
         if v not in body.cols:
             return body
@@ -1129,36 +1055,35 @@ def _eval_quant(ctx: RingContext, node) -> Relation:
         if node.residue != 0:
             return Relation(V0, groups[counts % node.modulus == node.residue])
         fail = Relation(V0, groups[counts % node.modulus != 0])
-        comp = _complement(ctx, fail, node)
-        return comp if comp is not None else _materialize_naive(ctx, node)
+        return _complement(ctx, fail, node)
     if isinstance(node, Majority):
         return Relation(V0, groups[2 * counts > m])
-    return _eval_count_ge(ctx, node, V0, groups, counts)
+    return _eval_count_ge(ctx, p, V0, groups, counts)
 
 
-def _eval_count_ge(ctx: RingContext, node: CountGE, V0, groups, counts) -> Relation:
+def _eval_count_ge(ctx: RingContext, p: _Plan, V0, groups, counts) -> Relation:
+    node = p.node
     m = ctx.m
     t = node.count
-    tf = tuple(sorted(term_vars(t)))
+    zero = p.kids[1]
+    tf = zero.fv
     if not tf:
-        val = eval_term(ctx, t, {})
+        val = _eval_term_cols(ctx, t, {})
         if val == 0:
-            comp = _complement(ctx, _empty(V0), node)
-            return comp if comp is not None else _materialize_naive(ctx, node)
+            return _complement(ctx, _empty(V0), node)
         return Relation(V0, groups[counts >= val])
     if set(tf) <= set(V0):
         cols = {c: groups[:, i] for i, c in enumerate(V0)}
         tv = _eval_term_cols(ctx, t, cols)
         present_pass = groups[counts >= tv]
-        zero = _atom_rel(ctx, Equal(t, Lit(0)), False, node)
-        zero_full = _extend_to(ctx, zero, V0, node)
+        zero_rel = _atom_rel(ctx, zero, False, node)
+        zero_full = _extend_to(ctx, zero_rel, V0, node)
         zero_full = _project(ctx, zero_full, V0)
         absent = _anti_join(ctx, zero_full, Relation(V0, groups))
         _charge(ctx, present_pass.shape[0] + absent.nrows, node)
         return Relation(V0, np.vstack([present_pass, absent.rows]))
-    out_cols = tuple(sorted(set(V0) | set(tf)))
     if set(tf) & set(V0):
-        return _count_ge_overlap(ctx, node, V0, groups, counts, tf, out_cols)
+        return _count_ge_overlap(ctx, p, V0, groups, counts)
     # count term over fresh variables: per-group prefix of sorted term values
     total_t = m ** len(tf)
     _charge(ctx, total_t, node)
@@ -1186,8 +1111,6 @@ def _eval_count_ge(ctx: RingContext, node: CountGE, V0, groups, counts) -> Relat
     ]
     part1 = _make_rel(names, arrays)
     comp = _complement(ctx, Relation(V0, groups), node)
-    if comp is None:
-        return _materialize_naive(ctx, node)
     zrows = trows[tvals == 0]
     _charge(ctx, comp.nrows * zrows.shape[0], node)
     if comp.nrows and zrows.shape[0]:
@@ -1197,19 +1120,18 @@ def _eval_count_ge(ctx: RingContext, node: CountGE, V0, groups, counts) -> Relat
         rows = np.vstack([part1.rows, part2.rows])
     else:
         rows = part1.rows
-    return Relation(out_cols, rows)
+    return Relation(p.fv, rows)
 
 
-def _count_ge_overlap(ctx, node, V0, groups, counts, tf, out_cols) -> Relation:
+def _count_ge_overlap(ctx, p: _Plan, V0, groups, counts) -> Relation:
     """Count term shares variables with the group columns; enumerate the
     fresh ones densely."""
+    node = p.node
     m = ctx.m
-    ex = [c for c in tf if c not in V0]
+    ex = [c for c in p.kids[1].fv if c not in V0]
     n_ex = m ** len(ex)
     present = Relation(V0, groups)
     comp = _complement(ctx, present, node)
-    if comp is None:
-        return _materialize_naive(ctx, node)
     parts = []
     for block, cnts in ((present, counts), (comp, np.zeros(comp.nrows, np.int64))):
         if block.nrows == 0:
@@ -1222,50 +1144,56 @@ def _count_ge_overlap(ctx, node, V0, groups, counts, tf, out_cols) -> Relation:
         for name in reversed(ex):
             cols[name] = rest % m
             rest = rest // m
-        tv = _eval_term_cols(ctx, t := node.count, cols)
+        tv = _eval_term_cols(ctx, node.count, cols)
         crep = np.repeat(cnts, n_ex)
         mask = crep >= tv
         if mask.any():
             parts.append(
-                np.column_stack([cols[c] for c in out_cols])[mask]
+                np.column_stack([cols[c] for c in p.fv])[mask]
             )
     if not parts:
-        return _empty(out_cols)
-    return Relation(out_cols, np.vstack(parts))
+        return _empty(p.fv)
+    return Relation(p.fv, np.vstack(parts))
 
 
 # ---------------------------------------------------------------------------
 # dispatch and public API
 
 
-def eval_rel(ctx: RingContext, f: Formula) -> Relation:
-    """Evaluate a normalized formula to its satisfying-assignment relation."""
+def eval_rel(ctx: RingContext, p: _Plan) -> Relation:
+    """Evaluate a plan to its satisfying-assignment relation."""
+    f = p.node
     if isinstance(f, _ATOMS):
-        return _atom_rel(ctx, f, False, f)
+        return _atom_rel(ctx, p, False, f)
     if isinstance(f, Not):
         if isinstance(f.body, _ATOMS):
-            return _atom_rel(ctx, f.body, True, f)
-        return _eval_not(ctx, f)
+            return _atom_rel(ctx, p.kids[0], True, f)
+        return _complement(ctx, eval_rel(ctx, p.kids[0]), f)
     if isinstance(f, And):
-        return _eval_and(ctx, _flat(f, And), f)
+        return _eval_and(ctx, p.kids, f, p.fv)
     if isinstance(f, Or):
-        return _eval_or(ctx, _flat(f, Or), f)
-    if isinstance(f, (Exists, ModExists, Majority, CountGE)):
-        return _eval_quant(ctx, f)
-    raise TypeError(f"unexpected node after normalization: {type(f).__name__}")
+        return _eval_or(ctx, p)
+    return _eval_quant(ctx, p)
+
+
+def _run(ctx: RingContext, formula: Formula) -> Relation:
+    plan, top = _plan(formula)
+    if ctx.strict_literals and top >= ctx.m:
+        warnings.warn(
+            f"literal {top} reduced modulo {ctx.m}", RuntimeWarning, stacklevel=3
+        )
+    return eval_rel(ctx, plan)
 
 
 def eval_fast(ctx: RingContext, formula: Formula) -> Relation:
     """Satisfying assignments of a formula over its free variables, with
     columns sorted by name and rows in lexicographic order."""
-    prep = _prepare(formula)
-    rel = eval_rel(ctx, prep)
+    rel = _run(ctx, formula)
     return Relation(rel.cols, _dedup_rows(rel.rows, ctx.m))
 
 
 def eval_fast_bool(ctx: RingContext, sentence: Formula) -> bool:
-    prep = _prepare(sentence)
-    rel = eval_rel(ctx, prep)
+    rel = _run(ctx, sentence)
     if rel.cols:
         raise ValueError("sentence has free variables")
     return rel.nrows > 0

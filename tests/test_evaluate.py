@@ -2,6 +2,7 @@
 the naive and relational engines on random sentences."""
 
 import random
+import warnings
 
 import pytest
 
@@ -193,6 +194,15 @@ def test_strict_literals_warns():
         eval_sentence(s, 5, engine="naive", strict_literals=True)
     with pytest.warns(RuntimeWarning):
         eval_sentence(s, 5, engine="fast", strict_literals=True)
+    # the fast engine warns once when any literal of the sentence is >= m,
+    # whichever literals its evaluation reaches
+    s = parse_sentence("E x. ((x = 0) | ((x = 7) & (8 = 3)))")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eval_sentence(s, 5, strict_literals=True)
+        assert len(caught) == 1
+        eval_sentence(s, 9, strict_literals=True)
+        assert len(caught) == 1
 
 
 def test_eval_sentence_dispatch_and_both_mode():
@@ -229,17 +239,44 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_wide_negated_quantifier_falls_back_to_naive(monkeypatch):
-    # the negated E e. has four free variables, wider than the complement
-    # cap, so the relational engine evaluates it assignment by assignment
+def test_wide_negated_quantifier_takes_the_complement(monkeypatch):
+    # the negated E e. has four free variables, so its relation is the
+    # complement of a four-column relation
     s = parse_sentence(
         "A a. A b. A c. A d. ((E e. (((a + b) + (c * d)) = (e * e)))"
         " | ((a + c) = (b * d)))"
     )
-    calls = _counting(monkeypatch, fastengine, "_materialize_naive")
+    widths = []
+    real = fastengine._complement
+
+    def complement(ctx, rel, node):
+        out = real(ctx, rel, node)
+        widths.append(len(out.cols))
+        return out
+
+    monkeypatch.setattr(fastengine, "_complement", complement)
     got = [eval_sentence(s, m, engine="both") for m in range(1, 8)]
     assert got == [True, True, False, False, False, False, False]
-    assert len(calls) == 7
+    assert 4 in widths
+
+
+def test_count_ge_overlap_agrees_with_the_reference(monkeypatch):
+    # the count term a + b shares a with the group columns and adds b
+    s = parse_sentence("E a. E b. ((C>=(a + b) x. (x < a)) & (b < a))")
+    calls = _counting(monkeypatch, fastengine, "_count_ge_overlap")
+    got = [eval_sentence(s, m, engine="both") for m in range(1, 13)]
+    assert got == [False] + [True] * 11
+    assert calls
+
+
+def test_linear_var_rel_agrees_with_the_reference(monkeypatch):
+    # x * y = 1 is linear in y with a coefficient that depends on x
+    s = parse_sentence("E x. E y. (((x * y) = 1) & (x < y))")
+    calls = _counting(monkeypatch, fastengine, "_linear_var_rel")
+    got = [eval_sentence(s, m, engine="both") for m in range(1, 13)]
+    F, T = False, True
+    assert got == [F, F, F, F, T, F, T, F, T, T, T, F]
+    assert calls
 
 
 def test_engine_disagreement_is_typed(monkeypatch):

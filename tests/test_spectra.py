@@ -7,7 +7,7 @@ import pytest
 
 from ringspectra import evaluate, fastengine
 from ringspectra.arith import IntPolynomial, cyclotomic, poly_roots_mod, sieve
-from ringspectra.constructions import cyclotomic_sentence
+from ringspectra.constructions import congruence_sentence, cyclotomic_sentence
 from ringspectra.errors import DegenerateInputError, ResourceLimitError
 from ringspectra.logic import parse_sentence
 from ringspectra.spectra import (
@@ -243,11 +243,31 @@ def test_default_spectrum_never_calls_the_reference_evaluator(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    # both names under which the package reaches the reference evaluator
+    # the package reaches the reference evaluator only through evaluate
     monkeypatch.setattr(evaluate, "eval_naive", counting)
-    monkeypatch.setattr(fastengine, "eval_naive", counting)
+    assert not hasattr(fastengine, "eval_naive")
     sp = spectrum(s, 500, workers=1)
     assert calls == []
     naive = [evaluate.eval_sentence(s, int(p), engine="naive") for p in sp.table.primes]
     assert len(calls) >= len(naive) > 0  # the wrapper does see reference calls
     assert sp.bits.tolist() == naive
+
+
+def test_sweep_compiles_the_sentence_once(monkeypatch):
+    s = congruence_sentence(5, 12)
+    fastengine._plan.cache_clear()
+    compiled = []
+    original = fastengine._compile
+
+    def counting(formula):
+        compiled.append(formula)
+        return original(formula)
+
+    monkeypatch.setattr(fastengine, "_compile", counting)
+    sp = spectrum(s, 2000, workers=1)
+    assert len(sp.table.primes) == 303
+    assert compiled == [s]
+    # p = 5 mod 12, except 5 itself: the sentence needs p > 12
+    assert sp.members() == [
+        int(p) for p in sp.table.primes if p % 12 == 5 and p != 5
+    ]
