@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantError, ResourceLimitError
-from .evaluate import MAX_MODULUS, RingContext
+from .evaluate import RingContext
 from .logic import (
     Add,
     And,
@@ -493,80 +493,37 @@ def _linear_var_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
     return _make_rel((u, v), [np.concatenate(us), np.concatenate(vs)])
 
 
-def _less_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
-    fvs = atom.fv
-    if len(fvs) == 1:
-        m = ctx.m
-        _charge(ctx, m, node)
-        grid = np.arange(m, dtype=np.int64)
-        mask = _atom_mask(ctx, atom.node, {fvs[0]: grid}, m)
-        if negate:
-            mask = ~mask
-        return Relation(fvs, grid[mask].reshape(-1, 1))
-    return _grid_rel(ctx, atom, negate, node)
-
-
 _TIMES_TABLE: dict = {"bound": 0, "rows": None}
 
 
-def _times_size(bound: int) -> int:
-    """Rows of the table to bound: pairs x, y >= 1 with x*y < bound."""
-    n = bound - 1
-    r = math.isqrt(n)
-    return 2 * int((n // np.arange(1, r + 1, dtype=np.int64)).sum()) - r * r
-
-
 def _times_table(ctx: RingContext, m: int, node: Formula) -> np.ndarray:
-    """Triples (x, y, x*y) with x, y >= 1 and x*y < m, sorted by product.
+    """Triples (x, y, x*y) with x, y >= 1 and x*y < m, in (x, y) order.
 
-    Cached at the largest bound built so far and sliced per modulus.  The
-    bound grows geometrically, so a sweep rebuilds rarely, but only as far
-    as the tuple budget admits: whether m fits never depends on what ran
+    Cached for the last modulus only, so the TIMES atoms of one evaluation
+    share one build; the old table is dropped before the next is built, so
+    a process never holds two, and whether m fits never depends on what ran
     before."""
-    if m > _TIMES_TABLE["bound"]:
-        lo = m
-        hi = min(max(m, 2 * _TIMES_TABLE["bound"], 4096), MAX_MODULUS)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _times_size(mid) <= ctx.tuple_budget:
-                lo = mid
-            else:
-                hi = mid - 1
-        bound = lo
-        a_range = np.arange(1, bound, dtype=np.int64)
-        counts = (bound - 1) // a_range
+    if _TIMES_TABLE["bound"] != m:
+        _TIMES_TABLE.update(bound=0, rows=None)
+        x_range = np.arange(1, m, dtype=np.int64)
+        counts = (m - 1) // x_range
         total = int(counts.sum())
         _charge(ctx, total, node)
-        acol = np.repeat(a_range, counts)
+        x = np.repeat(x_range, counts)
         offsets = np.cumsum(counts) - counts
-        bcol = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + 1
-        ccol = acol * bcol
-        order = np.lexsort((acol, ccol))
-        _TIMES_TABLE["bound"] = bound
-        _TIMES_TABLE["rows"] = np.column_stack([acol, bcol, ccol])[order]
-    rows = _TIMES_TABLE["rows"]
-    cut = int(np.searchsorted(rows[:, 2], m))
-    _charge(ctx, cut, node)
-    return rows[:cut]
+        y = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + 1
+        _TIMES_TABLE.update(bound=m, rows=np.column_stack([x, y, x * y]))
+    return _TIMES_TABLE["rows"]
 
 
 def _times_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
     m = ctx.m
     slots = (atom.node.x, atom.node.y, atom.node.z)
-    if negate or not all(isinstance(s, (Var, Lit)) for s in slots):
+    names = {s.name for s in slots if isinstance(s, Var)}
+    if negate or len(names) == 1 or not all(isinstance(s, (Var, Lit)) for s in slots):
         return _grid_rel(ctx, atom, negate, node)
-    vals = [s.value % m if isinstance(s, Lit) else None for s in slots]
-    names: list[str] = []
-    for s in slots:
-        if isinstance(s, Var) and s.name not in names:
-            names.append(s.name)
-    if len(names) == 1:
-        grid = np.arange(m, dtype=np.int64)
-        _charge(ctx, m, node)
-        cols = [grid if v is None else v for v in vals]
-        mask = cols[0] * cols[1] == cols[2]
-        return Relation((names[0],), grid[mask].reshape(-1, 1))
     if len(names) == 2:
+        vals = [s.value % m if isinstance(s, Lit) else None for s in slots]
         return _times_two_var(ctx, slots, vals, node)
     table = _times_table(ctx, m, node)
     _charge(ctx, table.shape[0] + 2 * m, node)
@@ -644,7 +601,7 @@ def _atom_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Rel
     if isinstance(atom.node, Equal):
         return _equal_rel(ctx, atom, negate, node)
     if isinstance(atom.node, Less):
-        return _less_rel(ctx, atom, negate, node)
+        return _grid_rel(ctx, atom, negate, node)
     return _times_rel(ctx, atom, negate, node)
 
 

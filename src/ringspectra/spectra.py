@@ -21,9 +21,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import fastengine
 from .arith import IntPolynomial, PrimeTable, poly_roots_mod, sieve
 from .errors import DegenerateInputError, RingSpectraError
-from .evaluate import eval_sentence
+from .evaluate import DEFAULT_TUPLE_BUDGET, RingContext
 from .logic import Formula, require_sentence
 
 DEFAULT_SPECTRUM_BOUND = 10_000
@@ -157,10 +158,12 @@ def class_spectrum(d: int, residues: Iterable[int], bound: int) -> Spectrum:
 
 def _eval_chunk(args) -> list[bool]:
     sentence, primes, tuple_budget = args
+    plan, _ = fastengine._plan(sentence)
     out = []
     for p in primes:
         try:
-            out.append(eval_sentence(sentence, int(p), tuple_budget=tuple_budget))
+            ctx = RingContext(int(p), tuple_budget=tuple_budget)
+            out.append(fastengine.eval_rel(ctx, plan).nrows > 0)
         except RingSpectraError as exc:
             raise type(exc)(f"{exc} (at prime {p})") from None
     return out
@@ -182,6 +185,8 @@ def spectrum(
     require_sentence(s)
     if bound < 2:
         raise ValueError(f"spectrum bound must be >= 2, got {bound}")
+    if tuple_budget is None:
+        tuple_budget = DEFAULT_TUPLE_BUDGET
     table = prime_table(bound)
     primes = table.primes
     workers = resolve_workers(workers)

@@ -6,8 +6,11 @@ The suite is computed once per session; claim 14 internally reruns claims
 end-to-end determinism check.
 """
 
+import itertools
+
 import pytest
 
+from ringspectra import verify
 from ringspectra.verify import run_suite
 
 
@@ -109,3 +112,19 @@ def test_criterion_13_prime_count_bracket(suite, capsys):
 def test_criterion_14_worker_determinism(suite, capsys):
     _assert_pass(suite, capsys, 14)
     assert suite[14].measured["mismatched claim ids"] == []
+
+
+def test_claim_runtime_budgets(suite):
+    # wall-clock gates, kept out of the verdicts so that a busy machine can
+    # neither fail a claim nor make claim 14 see a difference across workers
+    for claim_id, seconds in ((1, 5.0), (5, 120.0), (11, 30.0)):
+        assert suite[claim_id].elapsed < seconds, (claim_id, suite[claim_id].elapsed)
+
+
+def test_verdict_does_not_depend_on_elapsed_time(monkeypatch):
+    ticks = itertools.count(step=1000.0)
+    monkeypatch.setattr(verify.time, "perf_counter", lambda: next(ticks))
+    (claim,) = run_suite(bound=100, workers=1, ids=[1])
+    assert claim.elapsed == 1000.0
+    assert claim.status == "pass"
+    assert "runtime budget" not in claim.measured

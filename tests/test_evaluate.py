@@ -227,13 +227,16 @@ def test_modulus_validation():
 
 
 def _counting(monkeypatch, module, name):
-    """Replace module.name by a wrapper that counts its calls."""
+    """Replace module.name by a wrapper that counts the calls that return a
+    result; a _try_ strategy returns None when it does not apply."""
     calls = []
     original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        out = original(*args, **kwargs)
+        if out is not None:
+            calls.append(args)
+        return out
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
@@ -277,6 +280,44 @@ def test_linear_var_rel_agrees_with_the_reference(monkeypatch):
     F, T = False, True
     assert got == [F, F, F, F, T, F, T, F, T, T, T, F]
     assert calls
+
+
+@pytest.mark.parametrize(
+    "strategy, text, pattern",
+    [
+        ("_try_rank", "E u. ((E[1,3] v. ((v < u) & (E y. ((y * y) = v)))) & (u < 4))",
+         "FFFFTTTTTTTT"),
+        ("_count_filter", "E x. ((E z. ((z * z) = x)) & !(E[0,2] y. ((y * y) = x)))",
+         "TTTFTTTFTTTF"),
+        ("_try_linear_exists", "A x. (!(x = 0) -> E y. ((x * y) = 1))", "TTTFTFTFFFTF"),
+        ("_linear_const_rel", "E x. E y. ((((2 * y) + x) = 3) & (x < y))", "FFFTTTTTTTTT"),
+        # one sentence for each slot shape of a two-name TIMES atom
+        ("_times_two_var", "E x. E y. (TIMES(x, y, 6) & (x < y))", "FTTTFTTTTTTT"),
+        ("_times_two_var", "E x. E y. (TIMES(x, y, 0) & (1 < x))", "FFTTTTTTTTTT"),
+        ("_times_two_var", "E y. E z. (TIMES(3, y, z) & (5 < z))", "FFFTTFTTTTTT"),
+        ("_times_two_var", "E x. E z. (TIMES(x, x, z) & (2 < x))", "FTFFFFFFFTTT"),
+        ("_times_two_var", "E x. E y. (TIMES(x, y, x) & (1 < y))", "FFTTTTTTTTTT"),
+        ("_times_two_var", "E x. E y. (TIMES(x, y, y) & (1 < x))", "FFTTTTTTTTTT"),
+    ],
+)
+def test_fast_path_agrees_with_the_reference(monkeypatch, strategy, text, pattern):
+    s = parse_sentence(text)
+    calls = _counting(monkeypatch, fastengine, strategy)
+    got = [eval_sentence(s, m, engine="both") for m in range(1, 13)]
+    assert "".join("T" if g else "F" for g in got) == pattern
+    assert calls
+
+
+def test_rank_keeps_counting_below_u_under_budget(monkeypatch):
+    # counting the squares below each square u: without the rank the
+    # relation of pairs (u, v) needs about 5 * 10^7 rows at m = 10007
+    s = parse_sentence(
+        "E u. ((E[0,2] v. ((v < u) & (E y. ((y * y) = v)))) & (E y. ((y * y) = u)))"
+    )
+    assert eval_sentence(s, 10007) is True
+    monkeypatch.setattr(fastengine, "_try_rank", lambda ctx, p: None)
+    with pytest.raises(ResourceLimitError):
+        eval_sentence(s, 10007)
 
 
 def test_engine_disagreement_is_typed(monkeypatch):
@@ -344,6 +385,15 @@ def test_times_table_outcome_does_not_depend_on_order(monkeypatch):
     assert alone == [False, True, True, True, "limit", "limit", "limit"]
     assert _times_outcomes(moduli, 20_000) == alone
     assert _times_outcomes(moduli[::-1], 20_000) == alone[::-1]
-    # with room to spare, the table grows geometrically across a sweep
+    # with room to spare, the table holds exactly the last modulus's products
     _times_outcomes([101, 4099, 4111, 4127], 10**7)
-    assert fastengine._TIMES_TABLE["bound"] == 8192
+    assert fastengine._TIMES_TABLE["bound"] == 4127
+    assert fastengine._TIMES_TABLE["rows"].shape == (34_986, 3)  # sum of 4126 // a
+
+
+def test_times_table_is_rebuilt_for_exactly_the_next_modulus(monkeypatch):
+    # a larger modulus gets its own exact table, never a doubled bound
+    monkeypatch.setattr(fastengine, "_TIMES_TABLE", {"bound": 0, "rows": None})
+    assert _times_outcomes([4099, 4111], 10**7) == [True, True]
+    assert fastengine._TIMES_TABLE["bound"] == 4111
+    assert fastengine._TIMES_TABLE["rows"].shape == (34_846, 3)  # sum of 4110 // a

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ringspectra import evaluate, fastengine
+from ringspectra import evaluate, fastengine, spectra
 from ringspectra.arith import IntPolynomial, cyclotomic, poly_roots_mod, sieve
 from ringspectra.constructions import congruence_sentence, cyclotomic_sentence
 from ringspectra.errors import DegenerateInputError, ResourceLimitError
@@ -253,20 +253,33 @@ def test_default_spectrum_never_calls_the_reference_evaluator(monkeypatch):
     assert sp.bits.tolist() == naive
 
 
+def _recording(monkeypatch, calls, *targets):
+    """Replace each (module, name) by one wrapper that records its calls."""
+    original = getattr(*targets[0])
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, wrapper)
+
+
 def test_sweep_compiles_the_sentence_once(monkeypatch):
     s = congruence_sentence(5, 12)
     fastengine._plan.cache_clear()
-    compiled = []
-    original = fastengine._compile
-
-    def counting(formula):
-        compiled.append(formula)
-        return original(formula)
-
-    monkeypatch.setattr(fastengine, "_compile", counting)
+    compiled, checked, looked_up = [], [], []
+    _recording(monkeypatch, compiled, (fastengine, "_compile"))
+    _recording(
+        monkeypatch, checked, (spectra, "require_sentence"), (evaluate, "require_sentence")
+    )
+    _recording(monkeypatch, looked_up, (fastengine, "_plan"))
     sp = spectrum(s, 2000, workers=1)
     assert len(sp.table.primes) == 303
-    assert compiled == [s]
+    assert compiled == [(s,)]
+    # the sentence is checked and its plan fetched once per sweep, not per prime
+    assert checked == [(s,)]
+    assert looked_up == [(s,)]
     # p = 5 mod 12, except 5 itself: the sentence needs p > 12
     assert sp.members() == [
         int(p) for p in sp.table.primes if p % 12 == 5 and p != 5
