@@ -2,8 +2,8 @@
 
 Everything here is exact: prime enumeration by sieve, polynomials with
 arbitrary-precision integer coefficients (stored lowest degree first),
-cyclotomic polynomials by iterated exact division, root finding modulo a
-prime, and resultants via the subresultant pseudo-remainder sequence.
+cyclotomic polynomials by iterated exact division, and root finding modulo
+a prime.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls((c,))
 
     @classmethod
     def x(cls) -> "IntPolynomial":
@@ -428,91 +424,3 @@ def _gf_exact_div(a: list[int], b: list[int], p: int) -> list[int]:
             for j, cb in enumerate(b):
                 a[i + j] = (a[i + j] - q * cb) % p
     return _gf_trim(out)
-
-
-# ---------------------------------------------------------------------------
-# Resultants and root sums
-
-
-def _pseudo_rem(a: list[IntPolynomial], b: list[IntPolynomial]) -> list[IntPolynomial]:
-    """Pseudo-remainder of a by b: rem(lc(b)^(deg a - deg b + 1) * a, b)."""
-    lb = b[-1]
-    e = len(a) - len(b) + 1
-    r = list(a)
-    steps = 0
-    while r and len(r) >= len(b):
-        lr = r[-1]
-        shift = len(r) - len(b)
-        r = [lb * c for c in r]
-        for j, cb in enumerate(b):
-            r[shift + j] = r[shift + j] - lr * cb
-        while r and not r[-1]:
-            r.pop()
-        steps += 1
-    if steps < e:
-        mult = lb ** (e - steps)
-        r = [mult * c for c in r]
-    return r
-
-
-def _prs_resultant(a: list[IntPolynomial], b: list[IntPolynomial]) -> IntPolynomial:
-    """Resultant of two polynomials with IntPolynomial coefficients.
-
-    Subresultant pseudo-remainder sequence; all divisions are exact over the
-    coefficient ring, so no fractions appear.
-    """
-    one = IntPolynomial((1,))
-    if not a or not b:
-        return IntPolynomial()
-    s = 1
-    if len(a) < len(b):
-        if (len(a) - 1) * (len(b) - 1) % 2 == 1:
-            s = -s
-        a, b = b, a
-    if len(a) == 1:
-        return one  # two constants
-    g = one
-    h = one
-    while len(b) > 1:
-        delta = len(a) - len(b)
-        if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
-            s = -s
-        r = _pseudo_rem(a, b)
-        if not r:
-            return IntPolynomial()
-        divisor = g * (h ** delta)
-        a = b
-        b = [c.exact_div(divisor) for c in r]
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = (g ** delta).exact_div(h ** (delta - 1))
-    res = b[0] ** (len(a) - 1)
-    if len(a) > 2:
-        res = res.exact_div(h ** (len(a) - 2))
-    return res if s == 1 else -res
-
-
-def root_sum_poly(f1: IntPolynomial, f2: IntPolynomial, k: int = 1) -> IntPolynomial:
-    """Resultant in y of f1(y) and f2(x - k*y), exact over Z.
-
-    Vanishes at a2 + k*a1 for any roots a1 of f1 and a2 of f2; with the
-    default k = 1 that is the set of root sums a1 + a2.
-    """
-    if not f1 or not f2:
-        raise ValueError("root_sum_poly expects nonzero polynomials")
-    if k < 1:
-        raise ValueError("root_sum_poly expects k >= 1")
-    a = [IntPolynomial.constant(c) for c in f1.coeffs]
-    # expand f2(x - k*y) as a polynomial in y with coefficients in Z[x]
-    b = [IntPolynomial() for _ in range(len(f2.coeffs))]
-    for j, c in enumerate(f2.coeffs):
-        if c == 0:
-            continue
-        for i in range(j + 1):
-            coeff = c * math.comb(j, i) * (-k) ** i
-            b[i] = b[i] + IntPolynomial((0,) * (j - i) + (coeff,))
-    while b and not b[-1]:
-        b.pop()
-    return _prs_resultant(a, b)

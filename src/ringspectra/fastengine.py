@@ -9,8 +9,10 @@ subformula by the relation of satisfying assignments over its free
 variables.  Conjunction joins relations and folds comparison atoms in as
 vectorized row filters; quantifiers aggregate per-group witness counts.
 Atoms are solved analytically where possible (linear congruences, divisor
-tables for the integer-product predicate) and by vectorized scans
-otherwise.
+tables for the integer-product predicate); a one-variable equation of
+higher degree is solved by Horner evaluation over all residues, and other
+atoms by vectorized scans of their assignment grid.  Dedup and grouping
+sort packed row keys and flag adjacent differences.
 
 Every materialization is charged against the context's tuple budget and
 raises ResourceLimitError naming the subformula when it would exceed it.
@@ -30,6 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .arith import eval_mod_array
 from .errors import InvariantError, ResourceLimitError
 from .evaluate import RingContext
 from .logic import (
@@ -140,6 +143,19 @@ def _decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _sorted_unique(keys: np.ndarray, counts: bool = False):
+    """np.unique(keys) for 1-D keys, and with counts=True also the count of
+    each key, by a sort and a flag where adjacent keys differ."""
+    keys = np.sort(keys)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    uniq = keys[first]
+    if not counts:
+        return uniq
+    return uniq, np.diff(np.append(np.flatnonzero(first), keys.size))
+
+
 def _dedup_rows(rows: np.ndarray, m: int) -> np.ndarray:
     """Unique rows in lexicographic order."""
     n, k = rows.shape
@@ -150,7 +166,7 @@ def _dedup_rows(rows: np.ndarray, m: int) -> np.ndarray:
     key = _pack_arrays([rows[:, j] for j in range(k)], m)
     if key is None:
         return np.unique(rows, axis=0)
-    return _decode_keys(np.unique(key), k, m)
+    return _decode_keys(_sorted_unique(key), k, m)
 
 
 def _shared_keys(a: np.ndarray, b: np.ndarray, m: int):
@@ -290,7 +306,7 @@ def _group_drop(ctx: RingContext, rel: Relation, v: str):
     if key is None:
         groups, counts = np.unique(sub, axis=0, return_counts=True)
     else:
-        uk, counts = np.unique(key, return_counts=True)
+        uk, counts = _sorted_unique(key, counts=True)
         groups = _decode_keys(uk, len(V0), ctx.m)
     return V0, groups, counts
 
@@ -302,17 +318,6 @@ def _group_drop(ctx: RingContext, rel: Relation, v: str):
 def _poly_mod(poly: dict, m: int) -> dict:
     """A compiled polynomial's nonzero coefficients reduced mod m."""
     return {e: c % m for e, c in poly.items() if c % m}
-
-
-def _poly_eval_cols(poly: dict, cols: dict, order: tuple[str, ...], m: int, n: int):
-    res = np.zeros(n, dtype=np.int64)
-    for exps, coef in sorted(poly.items()):
-        term = np.full(n, coef % m, dtype=np.int64)
-        for name, e in zip(order, exps):
-            for _ in range(e):
-                term = (term * cols[name]) % m
-        res = (res + term) % m
-    return res
 
 
 def _eval_term_cols(ctx: RingContext, t: Term, cols: dict):
@@ -421,7 +426,9 @@ def _equal_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Re
             else:
                 hits = np.zeros(0, dtype=np.int64)
         else:
-            return _grid_rel(ctx, atom, negate, node)
+            _charge(ctx, m // _SCAN_DISCOUNT + 1, node)
+            values = eval_mod_array(coeffs, np.arange(m, dtype=np.int64), m)
+            hits = np.flatnonzero(values == 0)
         if negate:
             keep = np.ones(m, dtype=bool)
             keep[hits] = False
@@ -452,7 +459,7 @@ def _linear_const_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
     m = ctx.m
     a = next(iter(a_poly.values())) % m
     grid = np.arange(m, dtype=np.int64)
-    bv = _poly_eval_cols(b_poly, {u: grid}, (u,), m, m)
+    bv = eval_mod_array(_univar_coeffs(b_poly, m), grid, m)
     rhs = (-bv) % m
     mask, base, step, g = _linear_solutions(a, rhs, m)
     um = grid[mask]
@@ -472,8 +479,8 @@ def _linear_var_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
             f"per-element congruence solve too large (m={m}) for: {_snip(node)}"
         )
     grid = np.arange(m, dtype=np.int64)
-    av = _poly_eval_cols(a_poly, {u: grid}, (u,), m, m)
-    bv = _poly_eval_cols(b_poly, {u: grid}, (u,), m, m)
+    av = eval_mod_array(_univar_coeffs(a_poly, m), grid, m)
+    bv = eval_mod_array(_univar_coeffs(b_poly, m), grid, m)
     rhs = (-bv) % m
     g = np.gcd(av, m)
     mask = rhs % g == 0
@@ -984,8 +991,8 @@ def _try_linear_exists(ctx: RingContext, p: _Plan) -> Relation | None:
     u = fvs[1 - vi]
     grid = np.arange(m, dtype=np.int64)
     _charge(ctx, m, p.node)
-    av = _poly_eval_cols(a_poly, {u: grid}, (u,), m, m)
-    bv = _poly_eval_cols(b_poly, {u: grid}, (u,), m, m)
+    av = eval_mod_array(_univar_coeffs(a_poly, m), grid, m)
+    bv = eval_mod_array(_univar_coeffs(b_poly, m), grid, m)
     g = np.gcd(av, m)
     mask = ((-bv) % m) % g == 0
     return Relation((u,), grid[mask].reshape(-1, 1))

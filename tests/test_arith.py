@@ -1,4 +1,4 @@
-"""Prime tables, integer polynomials, roots, resultants vs brute-force oracles."""
+"""Prime tables, integer polynomials and roots vs brute-force oracles."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from ringspectra.arith import (
     cyclotomic,
     frac_mod,
     poly_roots_mod,
-    root_sum_poly,
     sieve,
 )
 from ringspectra.errors import (
@@ -50,61 +49,6 @@ def _long_divide(num: list[int], den: list[int]) -> list[int]:
             num[i + j] -= q * c
     assert not any(num)
     return quot
-
-
-def _sylvester_resultant(a: list, b: list):
-    """Resultant via Bareiss elimination on the Sylvester matrix.
-
-    Entries may be ints or IntPolynomial; independent of the package's
-    pseudo-remainder implementation.
-    """
-    one = IntPolynomial((1,)) if any(isinstance(c, IntPolynomial) for c in a + b) else 1
-
-    def lift(c):
-        if one == 1 or isinstance(c, IntPolynomial):
-            return c
-        return IntPolynomial.constant(c)
-
-    m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    if size == 0:
-        return lift(1 if one == 1 else 1)
-    rows = []
-    for i in range(n):
-        row = [lift(0)] * size
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = lift(c)
-        rows.append(row)
-    for i in range(m):
-        row = [lift(0)] * size
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = lift(c)
-        rows.append(row)
-    sign = 1
-    prev = lift(1)
-    for k in range(size - 1):
-        if not rows[k][k]:
-            for r in range(k + 1, size):
-                if rows[r][k]:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return lift(0)
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                val = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
-                if one == 1:
-                    assert val % prev == 0
-                    rows[i][j] = val // prev
-                else:
-                    rows[i][j] = val.exact_div(prev)
-            rows[i][k] = lift(0)
-        prev = rows[k][k]
-    det = rows[size - 1][size - 1]
-    if sign < 0:
-        det = -det
-    return det
 
 
 # -- sieve / PrimeTable -------------------------------------------------------
@@ -317,81 +261,3 @@ def test_roots_gcd_path_large_prime():
 def test_roots_degenerate_reduction():
     with pytest.raises(DegenerateInputError):
         poly_roots_mod(IntPolynomial((5, 10, 25)), 5)
-
-
-# -- resultants ---------------------------------------------------------------
-
-
-def test_root_sum_poly_quadratics():
-    f = IntPolynomial((1, 0, 1))
-    g = IntPolynomial((-2, 0, 1))
-    assert root_sum_poly(f, g, 1).coeffs == (9, 0, -2, 0, 1)
-
-
-def test_root_sum_poly_linear():
-    f = IntPolynomial((-3, 1))
-    g = IntPolynomial((-5, 1))
-    h = root_sum_poly(f, g, 1)
-    assert h.degree == 1
-    assert h(8) == 0
-    # k = 2: vanishes at (root of g) + 2 * (root of f)
-    h2 = root_sum_poly(f, g, 2)
-    assert h2(11) == 0
-
-
-def test_resultant_matches_sylvester_oracle():
-    rng = random.Random(99)
-    from ringspectra.arith import _prs_resultant
-
-    for _ in range(80):
-        da = rng.randint(1, 4)
-        db = rng.randint(1, 4)
-        a = [rng.randint(-6, 6) for _ in range(da)] + [rng.choice([1, -1, 2, 3, -2])]
-        b = [rng.randint(-6, 6) for _ in range(db)] + [rng.choice([1, -1, 2, 3, -2])]
-        ap = [IntPolynomial.constant(c) for c in a]
-        bp = [IntPolynomial.constant(c) for c in b]
-        got = _prs_resultant(ap, bp)
-        want = _sylvester_resultant(a, b)
-        assert got.coeffs == ((want,) if want else ()), (a, b, got.coeffs, want)
-
-
-def test_root_sum_poly_matches_sylvester_oracle_bivariate():
-    # same resultant through a wholly different elimination scheme
-    f = IntPolynomial((1, 0, 1))
-    g = IntPolynomial((-2, 0, 1))
-    a = [IntPolynomial.constant(c) for c in f.coeffs]
-    b = [
-        IntPolynomial((-2, 0, 1)),  # x^2 - 2
-        IntPolynomial((0, -2)),  # -2x * y
-        IntPolynomial((1,)),  # y^2
-    ]
-    want = _sylvester_resultant(a, b)
-    assert want == root_sum_poly(f, g, 1)
-
-
-def test_root_sums_are_roots_mod_p():
-    # wherever both quadratics split, sums of their roots are roots of the
-    # resultant polynomial
-    f = IntPolynomial((1, 0, 1))
-    g = IntPolynomial((-2, 0, 1))
-    h = root_sum_poly(f, g, 1)
-    table = sieve(10_000)
-    checked = 0
-    for p in table:
-        rf = poly_roots_mod(f, p)
-        rg = poly_roots_mod(g, p)
-        if not rf or not rg:
-            continue
-        hr = set(poly_roots_mod(h, p))
-        sums = {(r1 + r2) % p for r1 in rf for r2 in rg}
-        assert sums <= hr, p
-        checked += 1
-    assert checked > 100
-
-
-def test_root_sum_poly_validation():
-    f = IntPolynomial((1, 0, 1))
-    with pytest.raises(ValueError):
-        root_sum_poly(f, IntPolynomial(), 1)
-    with pytest.raises(ValueError):
-        root_sum_poly(f, f, 0)

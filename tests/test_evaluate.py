@@ -4,6 +4,7 @@ the naive and relational engines on random sentences."""
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from ringspectra import fastengine, verify
@@ -306,6 +307,60 @@ def test_fast_path_agrees_with_the_reference(monkeypatch, strategy, text, patter
     got = [eval_sentence(s, m, engine="both") for m in range(1, 13)]
     assert "".join("T" if g else "F" for g in got) == pattern
     assert calls
+
+
+@pytest.mark.parametrize(
+    "text, pattern, negations",
+    [
+        ("E x. (((x * x) + 1) = 0)", "TTFFTFFFFTFF", {False}),
+        ("A x. ((((x * x) + x) = 2) -> (x < 2))", "FFTFFFFFFFFF", {False}),
+        # the negated quadratic is a disjunct, so it is solved as an atom
+        # rather than applied as a filter
+        ("E[0,2] x. ((!(((x * x) + 1) = 0)) | (x = 0))", "FFFTFTFTFTFT", {False, True}),
+    ],
+)
+def test_univariate_equation_is_solved_by_horner(monkeypatch, text, pattern, negations):
+    s = parse_sentence(text)
+    horner = _counting(monkeypatch, fastengine, "eval_mod_array")
+    grid = _counting(monkeypatch, fastengine, "_grid_rel")
+    equal = _counting(monkeypatch, fastengine, "_equal_rel")
+    got = [eval_sentence(s, m, engine="both") for m in range(1, 13)]
+    assert "".join("T" if g else "F" for g in got) == pattern
+    assert any(len(args[0]) >= 3 for args in horner)
+    assert not grid
+    assert {args[2] for args in equal} == negations
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.zeros(0, dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.full(50, -3, dtype=np.int64),
+        np.random.default_rng(6).integers(-(2**62), 2**62, 1000),
+        np.random.default_rng(7).integers(0, 40, 1000),
+    ],
+)
+def test_sorted_unique_matches_numpy_unique(keys):
+    got = fastengine._sorted_unique(keys)
+    want = np.unique(keys)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    got_keys, got_counts = fastengine._sorted_unique(keys, counts=True)
+    want_keys, want_counts = np.unique(keys, return_counts=True)
+    assert np.array_equal(got_keys, want_keys)
+    assert got_counts.dtype == want_counts.dtype
+    assert np.array_equal(got_counts, want_counts)
+
+
+def test_group_drop_matches_numpy_unique():
+    m = 9
+    rows = np.unique(np.random.default_rng(8).integers(0, m, (600, 3)), axis=0)
+    rel = fastengine.Relation(("a", "b", "c"), rows)
+    cols, groups, counts = fastengine._group_drop(RingContext(m), rel, "b")
+    want_groups, want_counts = np.unique(rows[:, [0, 2]], axis=0, return_counts=True)
+    assert cols == ("a", "c")
+    assert np.array_equal(groups, want_groups)
+    assert np.array_equal(counts, want_counts)
 
 
 def test_rank_keeps_counting_below_u_under_budget(monkeypatch):
