@@ -1,8 +1,10 @@
 """Reference evaluation of formulas over Z_m, and eval_sentence.
 
-eval_naive is the semantic definition: direct recursion, one nested loop
-per quantifier.  It is deliberately simple so the fast relational engine
-can be checked against it; see fastengine.py for that engine, which is
+eval_naive is the semantic definition: one walk over the syntax tree
+compiles the formula to nested closures over a single mutable environment,
+and each quantifier is a loop over the universe that binds its variable in
+place.  It is deliberately simple so the fast relational engine can be
+checked against it; see fastengine.py for that engine, which is
 the one eval_sentence uses unless asked for the reference or for both.
 """
 
@@ -68,73 +70,98 @@ class RingContext:
         return k % self.m
 
 
-def eval_term(ctx: RingContext, t: Term, env: dict[str, int]) -> int:
+def _term(ctx: RingContext, t: Term):
+    m = ctx.m
     if isinstance(t, Var):
-        return env[t.name]
+        name = t.name
+        return lambda env: env[name]
     if isinstance(t, Lit):
-        return ctx.reduce_literal(t.value)
-    a = eval_term(ctx, t.left, env)
-    b = eval_term(ctx, t.right, env)
+        k = t.value
+        if ctx.strict_literals and k >= m:
+            return lambda env: ctx.reduce_literal(k)  # warns at each use
+        value = k % m
+        return lambda env: value
+    left, right = _term(ctx, t.left), _term(ctx, t.right)
     if isinstance(t, Add):
-        return (a + b) % ctx.m
-    return (a * b) % ctx.m
+        return lambda env: (left(env) + right(env)) % m
+    return lambda env: (left(env) * right(env)) % m
+
+
+def _formula(ctx: RingContext, f: Formula):
+    """f compiled to a closure env -> bool.  A quantifier binds its variable
+    in env in place, then restores it; Exists and Forall stop when decided."""
+    if isinstance(f, (Equal, Less)):
+        left, right = _term(ctx, f.left), _term(ctx, f.right)
+        if isinstance(f, Equal):
+            return lambda env: left(env) == right(env)
+        return lambda env: left(env) < right(env)
+    if isinstance(f, IntTimes):
+        x, y, z = _term(ctx, f.x), _term(ctx, f.y), _term(ctx, f.z)
+        return lambda env: x(env) * y(env) == z(env)
+    if isinstance(f, Not):
+        body = _formula(ctx, f.body)
+        return lambda env: not body(env)
+    if isinstance(f, (And, Or, Implies)):
+        left, right = _formula(ctx, f.left), _formula(ctx, f.right)
+        if isinstance(f, And):
+            return lambda env: left(env) and right(env)
+        if isinstance(f, Or):
+            return lambda env: left(env) or right(env)
+        return lambda env: (not left(env)) or right(env)
+    if not isinstance(f, (Exists, Forall, ModExists, Majority, CountGE)):
+        raise TypeError(f"not a formula: {f!r}")
+    var, m, body = f.var, ctx.m, _formula(ctx, f.body)
+
+    def scan(env, stop):  # witnesses of body as var runs over Z_m
+        saved = env.get(var)  # None: var was unbound
+        n = 0
+        for w in range(m):
+            env[var] = w
+            if body(env):
+                n += 1
+                if stop:
+                    break
+            elif stop is False:
+                break
+        del env[var]
+        if saved is not None:
+            env[var] = saved
+        return n
+
+    if isinstance(f, Exists):
+        return lambda env: scan(env, True) > 0
+    if isinstance(f, Forall):
+        return lambda env: scan(env, False) == m
+    if isinstance(f, ModExists):
+        q, r = f.modulus, f.residue
+        return lambda env: scan(env, None) % q == r
+    if isinstance(f, Majority):
+        return lambda env: 2 * scan(env, None) > m
+    threshold = _term(ctx, f.count)
+    return lambda env: scan(env, None) >= threshold(env)
 
 
 def eval_naive(ctx: RingContext, f: Formula, env: dict[str, int] | None = None) -> bool:
-    """Direct recursive evaluation; quantifiers loop over the universe."""
-    if env is None:
-        env = {}
-    if isinstance(f, Equal):
-        return eval_term(ctx, f.left, env) == eval_term(ctx, f.right, env)
-    if isinstance(f, Less):
-        return eval_term(ctx, f.left, env) < eval_term(ctx, f.right, env)
-    if isinstance(f, IntTimes):
-        x = eval_term(ctx, f.x, env)
-        y = eval_term(ctx, f.y, env)
-        z = eval_term(ctx, f.z, env)
-        return x * y == z
-    if isinstance(f, Not):
-        return not eval_naive(ctx, f.body, env)
-    if isinstance(f, And):
-        return eval_naive(ctx, f.left, env) and eval_naive(ctx, f.right, env)
-    if isinstance(f, Or):
-        return eval_naive(ctx, f.left, env) or eval_naive(ctx, f.right, env)
-    if isinstance(f, Implies):
-        return (not eval_naive(ctx, f.left, env)) or eval_naive(ctx, f.right, env)
-    if isinstance(f, Exists):
-        return any(
-            eval_naive(ctx, f.body, {**env, f.var: w}) for w in range(ctx.m)
-        )
-    if isinstance(f, Forall):
-        return all(
-            eval_naive(ctx, f.body, {**env, f.var: w}) for w in range(ctx.m)
-        )
-    if isinstance(f, (ModExists, Majority, CountGE)):
-        count = sum(
-            eval_naive(ctx, f.body, {**env, f.var: w}) for w in range(ctx.m)
-        )
-        if isinstance(f, ModExists):
-            return count % f.modulus == f.residue
-        if isinstance(f, Majority):
-            return 2 * count > ctx.m
-        return count >= eval_term(ctx, f.count, env)
-    raise TypeError(f"not a formula: {f!r}")
+    """Truth of f in Z_m under env (copied, never mutated): f is compiled
+    to closures in one walk, then run once."""
+    return _formula(ctx, f)(dict(env) if env else {})
 
 
 def naive_rows(ctx: RingContext, f: Formula, cols: Sequence[str], cap: int) -> list:
-    """Assignments to cols satisfying f, in lexicographic order, one
-    eval_naive call each; ResourceLimitError past cap assignments."""
+    """Assignments to cols satisfying f, in lexicographic order, from one
+    compiled closure; ResourceLimitError past cap assignments."""
     total = ctx.m ** len(cols)
     if total > cap:
         raise ResourceLimitError(
             f"{total} assignments are too many for per-assignment evaluation"
             f" of: {formula_to_text(f)[:100]}"
         )
-    return [
-        vals
-        for vals in itertools.product(range(ctx.m), repeat=len(cols))
-        if eval_naive(ctx, f, dict(zip(cols, vals)))
-    ]
+    holds, env, rows = _formula(ctx, f), {}, []
+    for vals in itertools.product(range(ctx.m), repeat=len(cols)):
+        env.update(zip(cols, vals))
+        if holds(env):
+            rows.append(vals)
+    return rows
 
 
 def eval_sentence(

@@ -7,14 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from ringspectra import fastengine, verify
+from ringspectra import evaluate, fastengine, verify
 from ringspectra.errors import (
     EngineDisagreementError,
     InvariantError,
     ResourceLimitError,
     RingSpectraError,
 )
-from ringspectra.evaluate import RingContext, eval_naive, eval_sentence
+from ringspectra.evaluate import RingContext, eval_naive, eval_sentence, naive_rows
 from ringspectra.fastengine import eval_fast, eval_fast_bool
 from ringspectra.logic import (
     Equal,
@@ -204,6 +204,70 @@ def test_strict_literals_warns():
         assert len(caught) == 1
         eval_sentence(s, 9, strict_literals=True)
         assert len(caught) == 1
+
+
+@pytest.mark.parametrize(
+    "text, m, warned, value",
+    [
+        # one warning per evaluation of the literal: Exists stops at the
+        # witness x = 2, Forall at the first non-witness, E[r,q] scans all
+        ("E x. (x = 7)", 5, 3, True),
+        ("A x. (x = 7)", 5, 1, False),
+        ("E[0,2] x. (x = 7)", 5, 5, False),
+        ("E x. (x = 7)", 9, 0, True),
+        ("A x. (x = 7)", 9, 0, False),
+        ("E[0,2] x. (x = 7)", 9, 0, False),
+        # shadowing: the inner x hides the outer one, then hands it back
+        ("E x. E x. (x = 1)", 5, 0, True),
+        ("E x. ((E x. (x = 1)) & (x = 0))", 5, 0, True),
+    ],
+)
+def test_reference_warns_at_each_literal_reduction(text, m, warned, value):
+    s = parse_sentence(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert eval_sentence(s, m, engine="naive", strict_literals=True) is value
+    assert len(caught) == warned
+    assert eval_sentence(s, m, engine="both") is value
+
+
+def test_reference_leaves_the_callers_env_alone():
+    env = {"x": 3}
+    f = parse_formula("(E x. (x = 0)) & (x = 3)")
+    assert eval_naive(RingContext(7), f, env) is True
+    assert env == {"x": 3}
+    with pytest.raises(KeyError):  # the quantifier unbinds x again
+        eval_naive(RingContext(7), f)
+    with pytest.raises(KeyError):  # z is free, and y was bound when it failed
+        eval_naive(RingContext(7), parse_formula("E y. (y = z)"), env)
+    assert env == {"x": 3}
+
+
+def test_reference_compiles_each_node_once(monkeypatch):
+    compiled = []
+
+    def counting(compile_node):
+        def wrapper(ctx, node):
+            compiled.append(node)
+            return compile_node(ctx, node)
+
+        return wrapper
+
+    # the compiler's recursion goes through the module globals
+    monkeypatch.setattr(evaluate, "_formula", counting(evaluate._formula))
+    monkeypatch.setattr(evaluate, "_term", counting(evaluate._term))
+    s = parse_sentence("A x. (!(x = 0) -> E y. ((x * y) = 1))")
+    sizes = []
+    for m in (7, 31):
+        compiled.clear()
+        assert eval_naive(RingContext(m), s) is True
+        sizes.append(len(compiled))
+    assert sizes == [12, 12]
+    f = parse_formula("(x * y) = 1")
+    compiled.clear()
+    rows = naive_rows(RingContext(12), f, ["x", "y"], 1000)
+    assert rows == [(1, 1), (5, 5), (7, 7), (11, 11)]
+    assert compiled.count(f) == 1 and len(compiled) == 5
 
 
 def test_eval_sentence_dispatch_and_both_mode():
