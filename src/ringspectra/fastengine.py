@@ -6,13 +6,18 @@ conjunctions and disjunctions, and records on every node its free
 variables and, for equations, the integer polynomial left - right.  The
 plan is then evaluated bottom-up at each modulus, representing each
 subformula by the relation of satisfying assignments over its free
-variables.  Conjunction joins relations and folds comparison atoms in as
-vectorized row filters; quantifiers aggregate per-group witness counts.
-Atoms are solved analytically where possible (linear congruences, divisor
-tables for the integer-product predicate); a one-variable equation of
-higher degree is solved by Horner evaluation over all residues, and other
-atoms by vectorized scans of their assignment grid.  Dedup and grouping
-sort packed row keys and flag adjacent differences.
+variables.  A relation is its columns: one int64 array of shape
+(variables, assignments), which filters read row by row and which joins,
+extensions and selections gather along its second axis.  Conjunction joins
+relations and folds comparison atoms in as vectorized filters; quantifiers
+aggregate per-group witness counts.  Atoms are solved analytically where
+possible (linear congruences, divisor tables for the integer-product
+predicate); a one-variable equation of higher degree is solved by Horner
+evaluation over all residues, and other atoms by vectorized scans of their
+assignment grid, which _decode_keys enumerates.  Dedup, grouping, joins and
+the count filter compare assignments by one order-preserving int64 key
+(_keys): base-m digits while they fit, ranks from np.unique beyond; dedup
+and grouping sort the keys and flag adjacent differences.
 
 Every materialization is charged against the context's tuple budget and
 raises ResourceLimitError naming the subformula when it would exceed it.
@@ -58,7 +63,7 @@ from .logic import (
 
 _ATOMS = (Equal, Less, IntTimes)
 
-# packed row keys must fit in int64
+# keys packed base m must fit in int64
 _PACK_LIMIT = 2**62
 # vectorized scans are cheaper per cell than materialized tuples
 _SCAN_DISCOUNT = 64
@@ -68,20 +73,29 @@ _LINEAR_LOOP_CAP = 300_000
 
 @dataclass(eq=False)
 class Relation:
-    """Satisfying assignments: cols are sorted variable names, rows are
-    unique (n, k) int64 assignments.  Row order is unspecified except for
-    relations returned by eval_fast, which are sorted lexicographically."""
+    """Satisfying assignments over cols, the sorted variable names.
+
+    data is one C-contiguous int64 array of shape (len(cols), n) whose row i
+    is the column of cols[i]; its n columns are unique assignments.  The
+    zero-column relations are TRUE, shape (0, 1), and FALSE, shape (0, 0).
+    Assignment order is unspecified except for relations returned by
+    eval_fast, which are sorted lexicographically."""
 
     cols: tuple[str, ...]
-    rows: np.ndarray
+    data: np.ndarray
 
     @property
     def nrows(self) -> int:
-        return self.rows.shape[0]
+        return self.data.shape[1]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The assignments as an (n, len(cols)) view of data."""
+        return self.data.T
 
 
 def _true_rel() -> Relation:
-    return Relation((), np.zeros((1, 0), dtype=np.int64))
+    return Relation((), np.zeros((0, 1), dtype=np.int64))
 
 
 def _false_rel() -> Relation:
@@ -93,17 +107,15 @@ def _bool_rel(value: bool) -> Relation:
 
 
 def _empty(cols: tuple[str, ...]) -> Relation:
-    return Relation(cols, np.zeros((0, len(cols)), dtype=np.int64))
+    return Relation(cols, np.zeros((len(cols), 0), dtype=np.int64))
 
 
-def _make_rel(names: tuple[str, ...], arrays: list[np.ndarray]) -> Relation:
-    """Build a relation from per-name columns, sorting columns by name."""
+def _make_rel(names: tuple[str, ...], arrays) -> Relation:
+    """Build a relation from per-name columns, a list of arrays or the rows
+    of a 2-D array, sorting columns by name."""
     order = sorted(range(len(names)), key=lambda i: names[i])
     cols = tuple(names[i] for i in order)
-    arrs = [np.asarray(arrays[i], dtype=np.int64) for i in order]
-    if not arrs or arrs[0].size == 0:
-        return _empty(cols)
-    return Relation(cols, np.column_stack(arrs))
+    return Relation(cols, np.array([arrays[i] for i in order], dtype=np.int64))
 
 
 def _snip(node: Formula) -> str:
@@ -120,27 +132,47 @@ def _charge(ctx: RingContext, n: int, node: Formula) -> None:
 
 
 # ---------------------------------------------------------------------------
-# packed keys, dedup, grouping
+# assignment keys, dedup, grouping
 
 
-def _pack_arrays(arrs: list[np.ndarray], m: int) -> np.ndarray | None:
-    if m**len(arrs) >= _PACK_LIMIT:
-        return None
-    key = arrs[0].astype(np.int64, copy=True)
-    for a in arrs[1:]:
+def _pack(columns, m: int) -> np.ndarray:
+    """Keys base m of assignments with values in [0, m), given as their
+    columns; _decode_keys inverts it."""
+    key = np.array(columns[0], dtype=np.int64)
+    for col in columns[1:]:
         key *= m
-        key += a
+        key += col
     return key
 
 
 def _decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
-    cols: list[np.ndarray] = []
+    """The (k, n) base-m digits of keys, most significant first: the
+    assignments that _pack gave these keys, and for keys arange(lo, hi)
+    that stretch of the grid Z_m^k."""
+    data = np.empty((k, keys.size), dtype=np.int64)
     rest = keys.copy()
-    for _ in range(k):
-        cols.append(rest % m)
-        rest //= m
-    cols.reverse()
-    return np.column_stack(cols)
+    for row in data[::-1]:
+        np.divmod(rest, m, out=(rest, row))
+    return data
+
+
+def _keys(m: int, *blocks):
+    """Order-preserving int64 keys for blocks of assignments to the same
+    k >= 1 variables, each block a (k, n) array or a list of its k columns:
+    equal assignments get equal keys in every block, and keys sort as the
+    assignments do.  Returns the keys of each block and the function from
+    keys back to (k, n) assignments.
+
+    Assignments pack base m while m**k is below _PACK_LIMIT; wider ones are
+    ranked by np.unique over all the blocks."""
+    k = len(blocks[0])
+    if m**k < _PACK_LIMIT:
+        return [_pack(b, m) for b in blocks], lambda keys: _decode_keys(keys, k, m)
+    joint = np.concatenate(blocks, axis=1)
+    uniq, inv = np.unique(joint, axis=1, return_inverse=True)
+    splits = np.cumsum([len(b[0]) for b in blocks[:-1]])
+    keys = np.split(inv.reshape(-1).astype(np.int64), splits)
+    return keys, lambda keys: np.take(uniq, keys, axis=1)
 
 
 def _sorted_unique(keys: np.ndarray, counts: bool = False):
@@ -156,28 +188,16 @@ def _sorted_unique(keys: np.ndarray, counts: bool = False):
     return uniq, np.diff(np.append(np.flatnonzero(first), keys.size))
 
 
-def _dedup_rows(rows: np.ndarray, m: int) -> np.ndarray:
-    """Unique rows in lexicographic order."""
-    n, k = rows.shape
-    if k == 0:
-        return rows[:1]
-    if n <= 1:
-        return rows
-    key = _pack_arrays([rows[:, j] for j in range(k)], m)
-    if key is None:
-        return np.unique(rows, axis=0)
-    return _decode_keys(_sorted_unique(key), k, m)
+def _dedup(data: np.ndarray, m: int) -> np.ndarray:
+    """The unique assignments of (k, n) data, in lexicographic order."""
+    if data.shape[0] == 0 or data.shape[1] <= 1:
+        return data[:, :1]
+    (key,), decode = _keys(m, data)
+    return decode(_sorted_unique(key))
 
 
-def _shared_keys(a: np.ndarray, b: np.ndarray, m: int):
-    """Comparable integer keys for two row blocks over the same columns."""
-    k = a.shape[1]
-    ka = _pack_arrays([a[:, j] for j in range(k)], m)
-    if ka is not None:
-        return ka, _pack_arrays([b[:, j] for j in range(k)], m)
-    both = np.vstack([a, b])
-    _, inv = np.unique(both, axis=0, return_inverse=True)
-    return inv[: a.shape[0]].astype(np.int64), inv[a.shape[0] :].astype(np.int64)
+def _columns(rel: Relation, names) -> list[np.ndarray]:
+    return [rel.data[rel.cols.index(c)] for c in names]
 
 
 def _member_mask(keys: np.ndarray, sorted_present: np.ndarray) -> np.ndarray:
@@ -203,9 +223,7 @@ def _join(ctx: RingContext, a: Relation, b: Relation, node: Formula) -> Relation
         ai = np.repeat(np.arange(a.nrows), b.nrows)
         bi = np.tile(np.arange(b.nrows), a.nrows)
     else:
-        sa = a.rows[:, [a.cols.index(c) for c in shared]]
-        sb = b.rows[:, [b.cols.index(c) for c in shared]]
-        ka, kb = _shared_keys(sa, sb, ctx.m)
+        ka, kb = _keys(ctx.m, _columns(a, shared), _columns(b, shared))[0]
         order = np.argsort(kb, kind="stable")
         kbs = kb[order]
         left = np.searchsorted(kbs, ka, side="left")
@@ -217,18 +235,14 @@ def _join(ctx: RingContext, a: Relation, b: Relation, node: Formula) -> Relation
         starts = np.repeat(left, cnt)
         offs = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         bi = order[starts + offs]
-    names: list[str] = []
-    arrays: list[np.ndarray] = []
-    for i, c in enumerate(a.cols):
-        names.append(c)
-        arrays.append(a.rows[ai, i])
-    for i, c in enumerate(b.cols):
-        if c not in a.cols:
-            names.append(c)
-            arrays.append(b.rows[bi, i])
-    if not names:
+    if not out_cols:
         return _bool_rel(total > 0)
-    return _make_rel(tuple(names), arrays)
+    data = np.empty((len(out_cols), total), dtype=np.int64)
+    for row, c in zip(data, out_cols):
+        rel, idx = (a, ai) if c in a.cols else (b, bi)
+        # with the default mode="raise", np.take buffers out
+        np.take(rel.data[rel.cols.index(c)], idx, out=row, mode="clip")
+    return Relation(out_cols, data)
 
 
 def _project(ctx: RingContext, rel: Relation, keep: tuple[str, ...]) -> Relation:
@@ -237,19 +251,23 @@ def _project(ctx: RingContext, rel: Relation, keep: tuple[str, ...]) -> Relation
     if not keep:
         return _bool_rel(rel.nrows > 0)
     idx = [rel.cols.index(c) for c in keep]
-    return Relation(keep, _dedup_rows(rel.rows[:, idx], ctx.m))
+    return Relation(keep, _dedup(rel.data[idx], ctx.m))
 
 
 def _extend(ctx: RingContext, rel: Relation, var: str, node: Formula) -> Relation:
     m = ctx.m
+    n = rel.nrows
     pos = sum(1 for c in rel.cols if c < var)
     cols = rel.cols[:pos] + (var,) + rel.cols[pos:]
-    if rel.nrows == 0:
+    if n == 0:
         return _empty(cols)
-    _charge(ctx, rel.nrows * m, node)
-    base = np.repeat(rel.rows, m, axis=0)
-    col = np.tile(np.arange(m, dtype=np.int64), rel.nrows)
-    return Relation(cols, np.insert(base, pos, col, axis=1))
+    _charge(ctx, n * m, node)
+    data = np.empty((len(cols), n * m), dtype=np.int64)
+    cube = data.reshape(len(cols), n, m)
+    cube[:pos] = rel.data[:pos, :, None]
+    cube[pos] = np.arange(m, dtype=np.int64)
+    cube[pos + 1 :] = rel.data[pos:, :, None]
+    return Relation(cols, data)
 
 
 def _extend_to(
@@ -268,17 +286,13 @@ def _complement(ctx: RingContext, rel: Relation, node: Formula) -> Relation:
     if k == 0:
         return _bool_rel(rel.nrows == 0)
     total = m**k
+    # charged before packing: keys below the budget always fit in int64
     _charge(ctx, total, node)
-    present = _pack_arrays([rel.rows[:, j] for j in range(k)], m)
-    present = np.sort(present)
+    present = np.sort(_pack(rel.data, m))
     parts = []
     for lo in range(0, total, _CHUNK):
         cand = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        keep = cand[~_member_mask(cand, present)]
-        if keep.size:
-            parts.append(keep)
-    if not parts:
-        return _empty(rel.cols)
+        parts.append(cand[~_member_mask(cand, present)])
     return Relation(rel.cols, _decode_keys(np.concatenate(parts), k, m))
 
 
@@ -286,29 +300,25 @@ def _anti_join(ctx: RingContext, a: Relation, b: Relation) -> Relation:
     """Rows of a absent from b; both over identical columns."""
     if a.nrows == 0 or b.nrows == 0:
         return a
-    ka, kb = _shared_keys(a.rows, b.rows, ctx.m)
+    ka, kb = _keys(ctx.m, a.data, b.data)[0]
     mask = ~_member_mask(ka, np.sort(kb))
-    return Relation(a.cols, a.rows[mask])
+    return Relation(a.cols, np.compress(mask, a.data, axis=1))
 
 
 def _group_drop(ctx: RingContext, rel: Relation, v: str):
-    """Group rows by all columns except v; returns (cols, groups, counts).
+    """Group assignments by all variables except v; returns (cols, groups,
+    counts), groups a (len(cols), g) array.
 
     Without a v column, every row stands for all m values of v."""
     if v not in rel.cols:
-        groups = rel.rows if rel.cols else np.zeros((1, 0), dtype=np.int64)
-        return rel.cols, groups, np.full(len(groups), ctx.m if rel.nrows else 0)
+        groups = rel.data if rel.cols else _true_rel().data
+        return rel.cols, groups, np.full(groups.shape[1], ctx.m if rel.nrows else 0)
     V0 = tuple(c for c in rel.cols if c != v)
     if not V0:
-        return V0, np.zeros((1, 0), dtype=np.int64), np.array([rel.nrows])
-    sub = rel.rows[:, [rel.cols.index(c) for c in V0]]
-    key = _pack_arrays([sub[:, j] for j in range(len(V0))], ctx.m)
-    if key is None:
-        groups, counts = np.unique(sub, axis=0, return_counts=True)
-    else:
-        uk, counts = _sorted_unique(key, counts=True)
-        groups = _decode_keys(uk, len(V0), ctx.m)
-    return V0, groups, counts
+        return V0, _true_rel().data, np.array([rel.nrows])
+    (key,), decode = _keys(ctx.m, _columns(rel, V0))
+    uk, counts = _sorted_unique(key, counts=True)
+    return V0, decode(uk), counts
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +375,16 @@ def _grid_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Rel
     parts = []
     out = 0
     for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        cols = {}
-        rest = idx
-        for name in reversed(fvs):
-            cols[name] = rest % m
-            rest = rest // m
-        mask = _atom_mask(ctx, atom.node, cols, idx.size)
+        cells = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        grid = _decode_keys(cells, k, m)
+        mask = _atom_mask(ctx, atom.node, dict(zip(fvs, grid)), grid.shape[1])
         if negate:
             mask = ~mask
-        hit = idx[mask]
-        out += hit.size
+        hit = np.compress(mask, grid, axis=1)
+        out += hit.shape[1]
         _charge(ctx, out, node)
-        if hit.size:
-            parts.append(hit)
-    if not parts:
-        return _empty(fvs)
-    return Relation(fvs, _decode_keys(np.concatenate(parts), k, m))
+        parts.append(hit)
+    return Relation(fvs, np.concatenate(parts, axis=1))
 
 
 def _univar_coeffs(poly: dict, m: int) -> list[int]:
@@ -437,7 +440,7 @@ def _equal_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Re
         else:
             _charge(ctx, len(hits), node)
             rows = hits
-        return Relation(fvs, rows.reshape(-1, 1))
+        return Relation(fvs, rows.reshape(1, -1))
     if k == 2 and not negate:
         for vi in (0, 1):
             v, u = fvs[vi], fvs[1 - vi]
@@ -504,7 +507,8 @@ _TIMES_TABLE: dict = {"bound": 0, "rows": None}
 
 
 def _times_table(ctx: RingContext, m: int, node: Formula) -> np.ndarray:
-    """Triples (x, y, x*y) with x, y >= 1 and x*y < m, in (x, y) order.
+    """Triples (x, y, x*y) with x, y >= 1 and x*y < m, in (x, y) order, as
+    the (n, 3) view of a (3, n) array.
 
     Cached for the last modulus only, so the TIMES atoms of one evaluation
     share one build; the old table is dropped before the next is built, so
@@ -519,7 +523,7 @@ def _times_table(ctx: RingContext, m: int, node: Formula) -> np.ndarray:
         x = np.repeat(x_range, counts)
         offsets = np.cumsum(counts) - counts
         y = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + 1
-        _TIMES_TABLE.update(bound=m, rows=np.column_stack([x, y, x * y]))
+        _TIMES_TABLE.update(bound=m, rows=np.array([x, y, x * y]).T)
     return _TIMES_TABLE["rows"]
 
 
@@ -532,13 +536,13 @@ def _times_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Re
     if len(names) == 2:
         vals = [s.value % m if isinstance(s, Lit) else None for s in slots]
         return _times_two_var(ctx, slots, vals, node)
-    table = _times_table(ctx, m, node)
-    _charge(ctx, table.shape[0] + 2 * m, node)
+    x, y, z = _times_table(ctx, m, node).T
+    _charge(ctx, x.size + 2 * m, node)
     grid = np.arange(m, dtype=np.int64)
     zeros = np.zeros(m, dtype=np.int64)
-    x_col = np.concatenate([table[:, 0], zeros, grid[1:]])
-    y_col = np.concatenate([table[:, 1], grid, zeros[1:]])
-    z_col = np.concatenate([table[:, 2], zeros, zeros[1:]])
+    x_col = np.concatenate([x, zeros, grid[1:]])
+    y_col = np.concatenate([y, grid, zeros[1:]])
+    z_col = np.concatenate([z, zeros, zeros[1:]])
     name_of = {0: slots[0].name, 1: slots[1].name, 2: slots[2].name}
     return _make_rel(
         (name_of[0], name_of[1], name_of[2]), [x_col, y_col, z_col]
@@ -599,7 +603,7 @@ def _times_two_var(ctx, slots, vals, node) -> Relation:
         aa = np.concatenate([grid, np.ones(m, np.int64)])
         bb = np.concatenate([np.zeros(m, np.int64), grid])
     rel = _make_rel((sx.name, sy.name), [aa, bb])
-    return Relation(rel.cols, _dedup_rows(rel.rows, m))
+    return Relation(rel.cols, _dedup(rel.data, m))
 
 
 def _atom_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
@@ -640,30 +644,19 @@ def _count_filter(ctx: RingContext, notq: _Plan) -> _Filter:
     m = ctx.m
     body = eval_rel(ctx, notq.kids[0].kids[0])
     V0, groups, counts = _group_drop(ctx, body, q.var)
-    if V0:
-        gkeys = _pack_arrays([groups[:, j] for j in range(len(V0))], m)
-        if gkeys is None:
-            raise ResourceLimitError(
-                f"group key width too large for: {_snip(notq.node)}"
-            )
-        order = np.argsort(gkeys)
-        gkeys = gkeys[order]
-        gcounts = counts[order]
-    else:
-        base_count = int(counts[0]) if groups.shape[0] else 0
 
     def fn(cols: dict) -> np.ndarray:
         n = len(next(iter(cols.values())))
-        if V0:
-            key = _pack_arrays([cols[c] for c in V0], m)
-            idx = np.minimum(np.searchsorted(gkeys, key), max(gkeys.size - 1, 0))
-            if gkeys.size:
-                found = gkeys[idx] == key
-                cnt = np.where(found, gcounts[idx], 0)
-            else:
-                cnt = np.zeros(n, dtype=np.int64)
+        if not V0:
+            cnt = np.full(n, counts[0], dtype=np.int64)
+        elif not counts.size:
+            cnt = np.zeros(n, dtype=np.int64)
         else:
-            cnt = np.full(n, base_count, dtype=np.int64)
+            gkeys, keys = _keys(m, groups, [cols[c] for c in V0])[0]
+            order = np.argsort(gkeys)
+            gkeys, gcounts = gkeys[order], counts[order]
+            idx = np.minimum(np.searchsorted(gkeys, keys), gkeys.size - 1)
+            cnt = np.where(gkeys[idx] == keys, gcounts[idx], 0)
         if isinstance(q, Exists):
             return cnt == 0
         if isinstance(q, ModExists):
@@ -681,8 +674,8 @@ def _apply_filters(ctx: RingContext, cur: Relation, filters: list[_Filter]) -> R
     for flt in filters:
         if flt.vars <= set(cur.cols):
             if cur.nrows:
-                cols = {c: cur.rows[:, i] for i, c in enumerate(cur.cols)}
-                cur = Relation(cur.cols, cur.rows[flt.fn(cols)])
+                mask = flt.fn(dict(zip(cur.cols, cur.data)))
+                cur = Relation(cur.cols, np.compress(mask, cur.data, axis=1))
         else:
             rest.append(flt)
     filters[:] = rest
@@ -896,12 +889,12 @@ def _eval_or(ctx: RingContext, p: _Plan) -> Relation:
             continue
         r = _extend_to(ctx, r, p.fv, p.node)
         if r.nrows:
-            parts.append(r.rows)
+            parts.append(r.data)
     if not parts:
         return _empty(p.fv)
-    total = sum(part.shape[0] for part in parts)
+    total = sum(part.shape[1] for part in parts)
     _charge(ctx, total, p.node)
-    return Relation(p.fv, _dedup_rows(np.vstack(parts), ctx.m))
+    return Relation(p.fv, _dedup(np.concatenate(parts, axis=1), ctx.m))
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +933,7 @@ def _try_rank(ctx: RingContext, p: _Plan) -> Relation | None:
     if isinstance(node, CountGE) and not set(p.kids[1].fv) <= {u}:
         return None
     sub = _eval_and(ctx, others, node, target=(v,))
-    witnesses = np.sort(sub.rows[:, 0])
+    witnesses = np.sort(sub.data[0])
     v_below = cmp_atom.left.name == v
     _charge(ctx, m, node)
     if isinstance(node, Exists):
@@ -951,7 +944,7 @@ def _try_rank(ctx: RingContext, p: _Plan) -> Relation | None:
             rows = np.arange(lo, m, dtype=np.int64)
         else:
             rows = np.arange(0, int(witnesses[-1]), dtype=np.int64)
-        return Relation((u,), rows.reshape(-1, 1))
+        return Relation((u,), rows.reshape(1, -1))
     grid = np.arange(m, dtype=np.int64)
     if v_below:
         cnt = np.searchsorted(witnesses, grid, side="left")
@@ -964,7 +957,7 @@ def _try_rank(ctx: RingContext, p: _Plan) -> Relation | None:
     else:
         tv = _eval_term_cols(ctx, node.count, {u: grid})
         mask = cnt >= tv
-    return Relation((u,), grid[mask].reshape(-1, 1))
+    return Relation((u,), grid[mask].reshape(1, -1))
 
 
 def _try_linear_exists(ctx: RingContext, p: _Plan) -> Relation | None:
@@ -995,7 +988,7 @@ def _try_linear_exists(ctx: RingContext, p: _Plan) -> Relation | None:
     bv = eval_mod_array(_univar_coeffs(b_poly, m), grid, m)
     g = np.gcd(av, m)
     mask = ((-bv) % m) % g == 0
-    return Relation((u,), grid[mask].reshape(-1, 1))
+    return Relation((u,), grid[mask].reshape(1, -1))
 
 
 def _eval_quant(ctx: RingContext, p: _Plan) -> Relation:
@@ -1016,12 +1009,12 @@ def _eval_quant(ctx: RingContext, p: _Plan) -> Relation:
         return _project(ctx, body, tuple(c for c in body.cols if c != v))
     V0, groups, counts = _group_drop(ctx, body, v)
     if isinstance(node, ModExists):
+        hit = counts % node.modulus == node.residue
         if node.residue != 0:
-            return Relation(V0, groups[counts % node.modulus == node.residue])
-        fail = Relation(V0, groups[counts % node.modulus != 0])
-        return _complement(ctx, fail, node)
+            return Relation(V0, np.compress(hit, groups, axis=1))
+        return _complement(ctx, Relation(V0, np.compress(~hit, groups, axis=1)), node)
     if isinstance(node, Majority):
-        return Relation(V0, groups[2 * counts > m])
+        return Relation(V0, np.compress(2 * counts > m, groups, axis=1))
     return _eval_count_ge(ctx, p, V0, groups, counts)
 
 
@@ -1035,56 +1028,38 @@ def _eval_count_ge(ctx: RingContext, p: _Plan, V0, groups, counts) -> Relation:
         val = _eval_term_cols(ctx, t, {})
         if val == 0:
             return _complement(ctx, _empty(V0), node)
-        return Relation(V0, groups[counts >= val])
+        return Relation(V0, np.compress(counts >= val, groups, axis=1))
     if set(tf) <= set(V0):
-        cols = {c: groups[:, i] for i, c in enumerate(V0)}
-        tv = _eval_term_cols(ctx, t, cols)
-        present_pass = groups[counts >= tv]
+        tv = _eval_term_cols(ctx, t, dict(zip(V0, groups)))
+        present_pass = np.compress(counts >= tv, groups, axis=1)
         zero_rel = _atom_rel(ctx, zero, False, node)
         zero_full = _extend_to(ctx, zero_rel, V0, node)
         zero_full = _project(ctx, zero_full, V0)
         absent = _anti_join(ctx, zero_full, Relation(V0, groups))
-        _charge(ctx, present_pass.shape[0] + absent.nrows, node)
-        return Relation(V0, np.vstack([present_pass, absent.rows]))
+        _charge(ctx, present_pass.shape[1] + absent.nrows, node)
+        return Relation(V0, np.concatenate([present_pass, absent.data], axis=1))
     if set(tf) & set(V0):
         return _count_ge_overlap(ctx, p, V0, groups, counts)
     # count term over fresh variables: per-group prefix of sorted term values
     total_t = m ** len(tf)
     _charge(ctx, total_t, node)
-    tidx = np.arange(total_t, dtype=np.int64)
-    tcols = {}
-    rest = tidx
-    for name in reversed(tf):
-        tcols[name] = rest % m
-        rest = rest // m
-    trows = np.column_stack([tcols[name] for name in tf])
-    tvals = _eval_term_cols(ctx, t, tcols)
-    if np.isscalar(tvals):
-        tvals = np.full(total_t, tvals, dtype=np.int64)
+    tgrid = _decode_keys(np.arange(total_t, dtype=np.int64), len(tf), m)
+    tvals = _eval_term_cols(ctx, t, dict(zip(tf, tgrid)))
     order = np.argsort(tvals, kind="stable")
-    tv_sorted = tvals[order]
-    k_per = np.searchsorted(tv_sorted, counts, side="right")
+    k_per = np.searchsorted(tvals[order], counts, side="right")
     total = int(k_per.sum())
     _charge(ctx, total, node)
-    gi = np.repeat(np.arange(groups.shape[0]), k_per)
+    gi = np.repeat(np.arange(groups.shape[1]), k_per)
     offs = np.arange(total) - np.repeat(np.cumsum(k_per) - k_per, k_per)
     ti = order[offs]
-    names = tuple(V0) + tuple(tf)
-    arrays = [groups[gi, j] for j in range(len(V0))] + [
-        trows[ti, j] for j in range(len(tf))
-    ]
-    part1 = _make_rel(names, arrays)
+    passing = np.concatenate([np.take(groups, gi, axis=1), np.take(tgrid, ti, axis=1)])
     comp = _complement(ctx, Relation(V0, groups), node)
-    zrows = trows[tvals == 0]
-    _charge(ctx, comp.nrows * zrows.shape[0], node)
-    if comp.nrows and zrows.shape[0]:
-        a2 = [np.repeat(comp.rows[:, j], zrows.shape[0]) for j in range(len(V0))]
-        a2 += [np.tile(zrows[:, j], comp.nrows) for j in range(len(tf))]
-        part2 = _make_rel(names, a2)
-        rows = np.vstack([part1.rows, part2.rows])
-    else:
-        rows = part1.rows
-    return Relation(p.fv, rows)
+    zgrid = np.compress(tvals == 0, tgrid, axis=1)
+    _charge(ctx, comp.nrows * zgrid.shape[1], node)
+    absent = np.concatenate(
+        [np.repeat(comp.data, zgrid.shape[1], axis=1), np.tile(zgrid, comp.nrows)]
+    )
+    return _make_rel(V0 + tf, np.concatenate([passing, absent], axis=1))
 
 
 def _count_ge_overlap(ctx, p: _Plan, V0, groups, counts) -> Relation:
@@ -1092,32 +1067,20 @@ def _count_ge_overlap(ctx, p: _Plan, V0, groups, counts) -> Relation:
     fresh ones densely."""
     node = p.node
     m = ctx.m
-    ex = [c for c in p.kids[1].fv if c not in V0]
+    ex = tuple(c for c in p.kids[1].fv if c not in V0)
     n_ex = m ** len(ex)
     present = Relation(V0, groups)
     comp = _complement(ctx, present, node)
+    ex_grid = _decode_keys(np.arange(n_ex, dtype=np.int64), len(ex), m)
     parts = []
     for block, cnts in ((present, counts), (comp, np.zeros(comp.nrows, np.int64))):
-        if block.nrows == 0:
-            continue
         _charge(ctx, block.nrows * n_ex, node)
-        cols = {
-            c: np.repeat(block.rows[:, i], n_ex) for i, c in enumerate(V0)
-        }
-        rest = np.tile(np.arange(n_ex, dtype=np.int64), block.nrows)
-        for name in reversed(ex):
-            cols[name] = rest % m
-            rest = rest // m
-        tv = _eval_term_cols(ctx, node.count, cols)
-        crep = np.repeat(cnts, n_ex)
-        mask = crep >= tv
-        if mask.any():
-            parts.append(
-                np.column_stack([cols[c] for c in p.fv])[mask]
-            )
-    if not parts:
-        return _empty(p.fv)
-    return Relation(p.fv, np.vstack(parts))
+        data = np.concatenate(
+            [np.repeat(block.data, n_ex, axis=1), np.tile(ex_grid, block.nrows)]
+        )
+        tv = _eval_term_cols(ctx, node.count, dict(zip(V0 + ex, data)))
+        parts.append(np.compress(np.repeat(cnts, n_ex) >= tv, data, axis=1))
+    return _make_rel(V0 + ex, np.concatenate(parts, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -1153,7 +1116,7 @@ def eval_fast(ctx: RingContext, formula: Formula) -> Relation:
     """Satisfying assignments of a formula over its free variables, with
     columns sorted by name and rows in lexicographic order."""
     rel = _run(ctx, formula)
-    return Relation(rel.cols, _dedup_rows(rel.rows, ctx.m))
+    return Relation(rel.cols, _dedup(rel.data, ctx.m))
 
 
 def eval_fast_bool(ctx: RingContext, sentence: Formula) -> bool:

@@ -247,8 +247,6 @@ def formula_to_text(f: Formula) -> str:
 
 _KEYWORDS = {"E", "A", "M", "C", "TIMES"}
 
-_SYMBOLS = ("->", ">=", "(", ")", "[", "]", ",", ".", "+", "*", "=", "<", "&", "|", "!")
-
 
 @dataclass(frozen=True)
 class _Token:

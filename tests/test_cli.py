@@ -221,7 +221,7 @@ def test_engine_disagreement_exits_1(tmp_path, capsys, monkeypatch):
 
     def drop_first_row(c, f):
         rel = real_rel(c, f)
-        return fastengine.Relation(rel.cols, rel.rows[1:])
+        return fastengine.Relation(rel.cols, rel.data[:, 1:])
 
     monkeypatch.setattr(fastengine, "eval_fast", drop_first_row)
     code, _, err = run(

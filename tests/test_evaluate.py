@@ -2,12 +2,14 @@
 the naive and relational engines on random sentences."""
 
 import random
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from ringspectra import evaluate, fastengine, verify
+from ringspectra.constructions import FAMILIES
 from ringspectra.errors import (
     EngineDisagreementError,
     InvariantError,
@@ -419,12 +421,112 @@ def test_sorted_unique_matches_numpy_unique(keys):
 def test_group_drop_matches_numpy_unique():
     m = 9
     rows = np.unique(np.random.default_rng(8).integers(0, m, (600, 3)), axis=0)
-    rel = fastengine.Relation(("a", "b", "c"), rows)
+    rel = fastengine.Relation(("a", "b", "c"), np.ascontiguousarray(rows.T))
     cols, groups, counts = fastengine._group_drop(RingContext(m), rel, "b")
     want_groups, want_counts = np.unique(rows[:, [0, 2]], axis=0, return_counts=True)
     assert cols == ("a", "c")
-    assert np.array_equal(groups, want_groups)
+    assert np.array_equal(groups.T, want_groups)
     assert np.array_equal(counts, want_counts)
+
+
+def _path_cases():
+    """Claim 12's first 100 sentences at m = 1..12, and a sentence of every
+    family at a few primes."""
+    rng = random.Random(verify.ENGINE_FUZZ_SEED)
+    corpus = [random_sentence(rng, max_depth=5) for _ in range(100)]
+    params = {
+        "congruence": {"a": 2, "d": 5},
+        "cyclotomic": {"n": 12},
+        "modcount": {"r": 1, "q": 3},
+        "powres": {"n": 3, "d": 3, "r": 1},
+        "psi": {"q": 3},
+        "theta": {"q": 3},
+        "prime": {},
+    }
+    assert sorted(params) == sorted(FAMILIES)
+    families = [FAMILIES[name].build(**kw) for name, kw in params.items()]
+    return [(s, m) for s in corpus for m in range(1, 13)] + [
+        (s, p) for s in families for p in (5, 7, 11, 13)
+    ]
+
+
+def _fast_outcome(s, m):
+    try:
+        rel = eval_fast(RingContext(m), s)
+    except ResourceLimitError:
+        return "limit"
+    return rel.cols, rel.rows.tolist()
+
+
+def test_small_chunks_and_pack_limit_keep_every_relation(monkeypatch):
+    # metamorphic test: with 7-cell chunks and packed keys capped at 2^3,
+    # the multi-chunk loops, and from m = 8 on the wide-key fallback of
+    # every key consumer, run on small moduli, and must give the relations
+    # the default sizes give
+    misshapen = []
+    real_eval_rel = fastengine.eval_rel
+
+    def eval_rel(ctx, p):
+        rel = real_eval_rel(ctx, p)
+        data = rel.data
+        if not (
+            data.dtype == np.int64
+            and data.flags.c_contiguous
+            and data.ndim == 2
+            and data.shape[0] == len(rel.cols)
+            and rel.cols == p.fv  # which is sorted
+        ):
+            misshapen.append((formula_to_text(p.node), ctx.m))
+        return rel
+
+    monkeypatch.setattr(fastengine, "eval_rel", eval_rel)
+    cases = _path_cases()
+    want = [_fast_outcome(s, m) for s, m in cases]
+
+    monkeypatch.setattr(fastengine, "_CHUNK", 7)
+    monkeypatch.setattr(fastengine, "_PACK_LIMIT", 2**3)
+    chunked = set()  # the grid scans that took more than one chunk
+
+    def count_chunked(name, width):
+        real = getattr(fastengine, name)
+
+        def wrapper(ctx, arg, *rest):
+            if ctx.m ** width(arg) > fastengine._CHUNK:
+                chunked.add(name)
+            return real(ctx, arg, *rest)
+
+        monkeypatch.setattr(fastengine, name, wrapper)
+
+    count_chunked("_grid_rel", lambda atom: len(atom.fv))
+    count_chunked("_complement", lambda rel: len(rel.cols))
+    wide = set()  # the functions that asked _keys for wide keys
+    real_unique = np.unique
+
+    def unique(*args, **kwargs):
+        if kwargs.get("axis") is not None:
+            wide.add(sys._getframe(2).f_code.co_name)
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", unique)
+    got = [_fast_outcome(s, m) for s, m in cases]
+    assert [case for case, g, w in zip(cases, got, want) if g != w] == []
+    assert misshapen == []
+    assert chunked == {"_grid_rel", "_complement"}
+    # fn is the count filter's row test
+    assert wide == {"_dedup", "_group_drop", "_join", "_anti_join", "fn"}
+
+
+@pytest.mark.parametrize("m", [1_664_510, 1_664_511, 2_000_000])
+def test_count_filter_keys_groups_of_any_width(monkeypatch, m):
+    # 1_664_511 is the first m with m^3 >= 2^62: three group columns no
+    # longer pack into one int64 key
+    s = parse_sentence(
+        "E x. E y. E z. ((x = 1) & (y = 2) & (z = 4)"
+        " & (!(E w. ((w = x) & (x = 1) & (y = 2) & (z = 3)))))"
+    )
+    calls = _counting(monkeypatch, fastengine, "_count_filter")
+    assert eval_sentence(s, m) is True
+    assert calls
 
 
 def test_rank_keeps_counting_below_u_under_budget(monkeypatch):
