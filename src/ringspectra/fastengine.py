@@ -19,6 +19,16 @@ the count filter compare assignments by one order-preserving int64 key
 (_keys): base-m digits while they fit, ranks from np.unique beyond; dedup
 and grouping sort the keys and flag adjacent differences.
 
+A sweep over primes evaluates a block of them in one pass (eval_block) when
+every node of the plan has a block kernel.  Each prime is a lane: every
+block relation carries a lane column, the index of its prime, as its first
+row, and its values in lane i lie in [0, p_i).  Joins, dedup, projection and
+grouping key on the lane as one more column, so keys pack base max(p) with
+the lane as their most significant digit; one-variable grids are ragged,
+arange(p_i) for each lane in turn; coefficients and literals are reduced
+per lane.  A conjunction drops the lanes where a ground conjunct fails
+before it goes on, and joins each lane in the order its prime alone would.
+
 Every materialization is charged against the context's tuple budget and
 raises ResourceLimitError naming the subformula when it would exceed it.
 The reference evaluator in evaluate.py defines the semantics; this engine
@@ -330,31 +340,40 @@ def _poly_mod(poly: dict, m: int) -> dict:
     return {e: c % m for e, c in poly.items() if c % m}
 
 
-def _eval_term_cols(ctx: RingContext, t: Term, cols: dict):
+def _mod(c: int, m):
+    """c mod m for a Python int c of any size, where m is a modulus or an
+    int64 array of moduli."""
+    if isinstance(m, int) or abs(c) < 2**62:
+        return c % m
+    return (c % m.astype(object)).astype(np.int64)
+
+
+def _eval_term_cols(m, t: Term, cols: dict):
+    """A term's values on columns, mod m: a modulus, or one per row."""
     if isinstance(t, Var):
         return cols[t.name]
     if isinstance(t, Lit):
-        return t.value % ctx.m
-    a = _eval_term_cols(ctx, t.left, cols)
-    b = _eval_term_cols(ctx, t.right, cols)
+        return _mod(t.value, m)
+    a = _eval_term_cols(m, t.left, cols)
+    b = _eval_term_cols(m, t.right, cols)
     if isinstance(t, Add):
-        return (a + b) % ctx.m
-    return (a * b) % ctx.m
+        return (a + b) % m
+    return (a * b) % m
 
 
-def _atom_mask(ctx: RingContext, atom: Formula, cols: dict, n: int) -> np.ndarray:
+def _atom_mask(m, atom: Formula, cols: dict, n: int) -> np.ndarray:
     if isinstance(atom, Equal):
-        mask = _eval_term_cols(ctx, atom.left, cols) == _eval_term_cols(
-            ctx, atom.right, cols
+        mask = _eval_term_cols(m, atom.left, cols) == _eval_term_cols(
+            m, atom.right, cols
         )
     elif isinstance(atom, Less):
-        mask = _eval_term_cols(ctx, atom.left, cols) < _eval_term_cols(
-            ctx, atom.right, cols
+        mask = _eval_term_cols(m, atom.left, cols) < _eval_term_cols(
+            m, atom.right, cols
         )
     else:
-        x = _eval_term_cols(ctx, atom.x, cols)
-        y = _eval_term_cols(ctx, atom.y, cols)
-        z = _eval_term_cols(ctx, atom.z, cols)
+        x = _eval_term_cols(m, atom.x, cols)
+        y = _eval_term_cols(m, atom.y, cols)
+        z = _eval_term_cols(m, atom.z, cols)
         mask = x * y == z
     if np.isscalar(mask) or mask.shape == ():
         mask = np.full(n, bool(mask))
@@ -377,7 +396,7 @@ def _grid_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Rel
     for lo in range(0, total, _CHUNK):
         cells = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
         grid = _decode_keys(cells, k, m)
-        mask = _atom_mask(ctx, atom.node, dict(zip(fvs, grid)), grid.shape[1])
+        mask = _atom_mask(m, atom.node, dict(zip(fvs, grid)), grid.shape[1])
         if negate:
             mask = ~mask
         hit = np.compress(mask, grid, axis=1)
@@ -442,19 +461,37 @@ def _equal_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Re
             rows = hits
         return Relation(fvs, rows.reshape(1, -1))
     if k == 2 and not negate:
-        for vi in (0, 1):
-            v, u = fvs[vi], fvs[1 - vi]
-            degv = max((e[vi] for e in poly), default=0)
-            if degv != 1:
-                continue
-            a_poly = {(e[1 - vi],): c for e, c in poly.items() if e[vi] == 1}
-            b_poly = {(e[1 - vi],): c for e, c in poly.items() if e[vi] == 0}
-            if any(e[vi] > 1 for e in poly):
-                continue
-            if max((e[0] for e in a_poly), default=0) == 0:
-                return _linear_const_rel(ctx, a_poly, b_poly, u, v, node)
-            return _linear_var_rel(ctx, a_poly, b_poly, u, v, node)
+        split = _linear_pair(poly)
+        if split is not None:
+            vi, a_poly, b_poly = split
+            rel = _linear_const_rel if a_poly.keys() == {(0,)} else _linear_var_rel
+            return rel(ctx, a_poly, b_poly, fvs[1 - vi], fvs[vi], node)
     return _grid_rel(ctx, atom, negate, node)
+
+
+def _split_linear(poly: dict, vi: int):
+    """A polynomial of degree 1 in its variable vi as (a, b) with
+    poly = a*v + b, both over the other variable (exponent tuples of length
+    1), or None for any other degree in v."""
+    if max((e[vi] for e in poly), default=0) != 1:
+        return None
+    a: dict = {}
+    b: dict = {}
+    for e, c in poly.items():
+        (a if e[vi] else b)[(e[1 - vi] if len(e) == 2 else 0,)] = c
+    return a, b
+
+
+def _linear_pair(poly: dict):
+    """How a two-variable equation is solved: (vi, a, b) for the first
+    variable vi of degree 1, whose pairs _linear_const_rel lists when a is
+    a constant (a single term of degree 0) and _linear_var_rel otherwise;
+    None sends it to the grid scan."""
+    for vi in (0, 1):
+        split = _split_linear(poly, vi)
+        if split is not None:
+            return (vi, *split)
+    return None
 
 
 def _linear_const_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
@@ -485,7 +522,7 @@ def _linear_var_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
     av = eval_mod_array(_univar_coeffs(a_poly, m), grid, m)
     bv = eval_mod_array(_univar_coeffs(b_poly, m), grid, m)
     rhs = (-bv) % m
-    g = np.gcd(av, m)
+    g = _gcd_with(av, m)
     mask = rhs % g == 0
     _charge(ctx, int(g[mask].sum()), node)
     us: list[np.ndarray] = []
@@ -501,6 +538,18 @@ def _linear_var_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
     if not us:
         return _make_rel((u, v), [np.zeros(0, np.int64), np.zeros(0, np.int64)])
     return _make_rel((u, v), [np.concatenate(us), np.concatenate(vs)])
+
+
+def _gcd_with(values: np.ndarray, m: int) -> np.ndarray:
+    """gcd(v, m) for each v in [0, m): the largest divisor of m dividing v,
+    read from a table that writes each divisor d of m, in ascending order,
+    to every multiple of d."""
+    d = np.arange(1, math.isqrt(m) + 1)
+    small = d[m % d == 0]
+    table = np.empty(m, dtype=np.int64)
+    for div in np.union1d(small, m // small):
+        table[::div] = div
+    return table[values]
 
 
 _TIMES_TABLE: dict = {"bound": 0, "rows": None}
@@ -536,17 +585,19 @@ def _times_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Re
     if len(names) == 2:
         vals = [s.value % m if isinstance(s, Lit) else None for s in slots]
         return _times_two_var(ctx, slots, vals, node)
-    x, y, z = _times_table(ctx, m, node).T
-    _charge(ctx, x.size + 2 * m, node)
-    grid = np.arange(m, dtype=np.int64)
-    zeros = np.zeros(m, dtype=np.int64)
-    x_col = np.concatenate([x, zeros, grid[1:]])
-    y_col = np.concatenate([y, grid, zeros[1:]])
-    z_col = np.concatenate([z, zeros, zeros[1:]])
-    name_of = {0: slots[0].name, 1: slots[1].name, 2: slots[2].name}
-    return _make_rel(
-        (name_of[0], name_of[1], name_of[2]), [x_col, y_col, z_col]
-    )
+    table = _times_table(ctx, m, node).T
+    n = table.shape[1]
+    _charge(ctx, n + 2 * m, node)
+    # the products below m, then 0 * y = 0 and x * 0 = 0, with each slot's
+    # column written straight to its row in name order
+    names = [s.name for s in slots]
+    order = sorted(range(3), key=names.__getitem__)
+    data = np.zeros((3, n + 2 * m - 1), dtype=np.int64)
+    for row, i in zip(data, order):
+        row[:n] = table[i]
+    data[order.index(1), n : n + m] = np.arange(m)
+    data[order.index(0), n + m :] = np.arange(1, m)
+    return Relation(tuple(sorted(names)), data)
 
 
 def _times_two_var(ctx, slots, vals, node) -> Relation:
@@ -608,7 +659,7 @@ def _times_two_var(ctx, slots, vals, node) -> Relation:
 
 def _atom_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
     if not atom.fv:
-        return _bool_rel(bool(_atom_mask(ctx, atom.node, {}, 1)[0]) != negate)
+        return _bool_rel(bool(_atom_mask(ctx.m, atom.node, {}, 1)[0]) != negate)
     if isinstance(atom.node, Equal):
         return _equal_rel(ctx, atom, negate, node)
     if isinstance(atom.node, Less):
@@ -626,13 +677,15 @@ class _Filter:
     fn: Callable[[dict], np.ndarray]
 
 
-def _atom_filter(ctx: RingContext, conj: _Plan) -> _Filter:
+def _atom_filter(conj: _Plan, moduli: Callable[[dict], int | np.ndarray]) -> _Filter:
+    """Filter form of an atom or a negated atom; moduli(cols) is the
+    modulus, or the modulus of each row."""
     negate = isinstance(conj.node, Not)
     atom = conj.kids[0] if negate else conj
 
     def fn(cols: dict) -> np.ndarray:
         n = len(next(iter(cols.values())))
-        mask = _atom_mask(ctx, atom.node, cols, n)
+        mask = _atom_mask(moduli(cols), atom.node, cols, n)
         return ~mask if negate else mask
 
     return _Filter(frozenset(atom.fv), fn)
@@ -651,19 +704,23 @@ def _count_filter(ctx: RingContext, notq: _Plan) -> _Filter:
             cnt = np.full(n, counts[0], dtype=np.int64)
         elif not counts.size:
             cnt = np.zeros(n, dtype=np.int64)
+        elif m ** len(V0) <= n:
+            # a table with a slot for every group key is no longer than the rows
+            table = np.zeros(m ** len(V0), dtype=np.int64)
+            table[_pack(groups, m)] = counts
+            cnt = table[_pack([cols[c] for c in V0], m)]
         else:
+            # groups come sorted, so their keys do too
             gkeys, keys = _keys(m, groups, [cols[c] for c in V0])[0]
-            order = np.argsort(gkeys)
-            gkeys, gcounts = gkeys[order], counts[order]
             idx = np.minimum(np.searchsorted(gkeys, keys), gkeys.size - 1)
-            cnt = np.where(gkeys[idx] == keys, gcounts[idx], 0)
+            cnt = np.where(gkeys[idx] == keys, counts[idx], 0)
         if isinstance(q, Exists):
             return cnt == 0
         if isinstance(q, ModExists):
             return cnt % q.modulus != q.residue
         if isinstance(q, Majority):
             return 2 * cnt <= m
-        tv = _eval_term_cols(ctx, q.count, cols)
+        tv = _eval_term_cols(m, q.count, cols)
         return cnt < tv
 
     return _Filter(frozenset(notq.fv), fn)
@@ -702,6 +759,122 @@ class _Plan:
     fv: tuple[str, ...]
     kids: tuple[_Plan, ...] = ()
     poly: dict | None = None
+    # decided here, once per sentence: how _eval_and takes the conjuncts of
+    # an And (_steps); the shape _try_rank counts a quantifier by, or None;
+    # and whether every node from here down has a block kernel
+    steps: tuple = ()
+    rank: tuple | None = None
+    block: bool = False
+
+    def __post_init__(self):
+        if isinstance(self.node, And):
+            self.steps = _steps(self.kids)
+        elif isinstance(self.node, _QUANTIFIERS):
+            self.rank = _rank_shape(self)
+        self.block = _has_block_kernel(self)
+
+
+_QUANTIFIERS = (Exists, ModExists, Majority, CountGE)
+
+
+def _steps(conjuncts: Sequence[_Plan]) -> tuple:
+    """How _eval_and takes a conjunction: (kind, seq, conjunct) in the order
+    it takes them.  A "ground" conjunct is a sentence, tested as it comes;
+    a "filter" is an atom or a negated atom tested on the rows of the
+    relations; a "count" is a negated quantifier tested by _count_filter; a
+    "relation" is evaluated and joined, and seq breaks ties in the join
+    order.  Equations over three or more variables and negated quantifiers
+    wait for the relations before them, and become filters when those cover
+    their variables."""
+    steps: list = []
+    deferred = []
+    covered: set = set()
+    for seq, c in enumerate(conjuncts):
+        f = c.node
+        if not c.fv:
+            steps.append(("ground", seq, c))
+        elif isinstance(f, Less) or (isinstance(f, Not) and isinstance(f.body, _ATOMS)):
+            steps.append(("filter", seq, c))
+        elif (
+            isinstance(f, Not)
+            or (isinstance(f, Equal) and len(c.fv) >= 3)
+            or (
+                isinstance(f, IntTimes)
+                and len(c.fv) >= 3
+                and not all(isinstance(s, (Var, Lit)) for s in (f.x, f.y, f.z))
+            )
+        ):
+            deferred.append(c)
+        else:
+            steps.append(("relation", seq, c))
+            covered |= set(c.fv)
+    seq = len(conjuncts) + sum(kind == "relation" for kind, _, _ in steps)
+    for c in deferred:
+        if set(c.fv) <= covered:
+            steps.append(("count" if isinstance(c.node, Not) else "filter", None, c))
+        else:
+            steps.append(("relation", seq, c))
+            seq += 1
+            covered |= set(c.fv)
+    return tuple(steps)
+
+
+def _rank_shape(p: _Plan) -> tuple | None:
+    """For a quantifier over v whose body is (v <cmp> u) AND conjuncts over
+    v alone: (the comparison, u, the _steps of the other conjuncts), which
+    _try_rank counts by; else None."""
+    node = p.node
+    v = node.var
+    body = p.kids[0]
+    flat = body.kids if isinstance(body.node, And) else (body,)
+    cmp_atom = None
+    others: list[_Plan] = []
+    for c in flat:
+        f = c.node
+        if (
+            cmp_atom is None
+            and isinstance(f, Less)
+            and isinstance(f.left, Var)
+            and isinstance(f.right, Var)
+            and f.left.name != f.right.name
+            and v in (f.left.name, f.right.name)
+        ):
+            cmp_atom = f
+            continue
+        others.append(c)
+    if cmp_atom is None:
+        return None
+    u = cmp_atom.right.name if cmp_atom.left.name == v else cmp_atom.left.name
+    if any(not set(c.fv) <= {v} for c in others):
+        return None
+    if isinstance(node, CountGE) and not set(p.kids[1].fv) <= {u}:
+        return None
+    return cmp_atom, u, _steps(others)
+
+
+def _has_block_kernel(p: _Plan) -> bool:
+    """Whether eval_block can evaluate p: whether, for every node from p
+    down, the strategy the per-prime engine takes has a block kernel."""
+    f = p.node
+    k = len(p.fv)
+    if isinstance(f, _ATOMS) or (isinstance(f, Not) and isinstance(f.body, _ATOMS)):
+        if k <= 1:
+            return True
+        split = _linear_pair(p.poly) if isinstance(f, Equal) and k == 2 else None
+        return split is not None and split[1].keys() == {(0,)}
+    if isinstance(f, Not):
+        return k <= 1 and p.kids[0].block
+    if isinstance(f, And):
+        return all(kind == "filter" or (kind != "count" and c.block) for kind, _, c in p.steps)
+    if isinstance(f, Or):
+        return all(c.block for c in p.kids)
+    if p.rank is not None:
+        return False
+    if isinstance(f, Exists):
+        return (_linear_body(p) is not None and len(p.kids[0].fv) == 2) or p.kids[0].block
+    if isinstance(f, ModExists):
+        return p.kids[0].block and (f.residue != 0 or k <= 1)
+    return False
 
 
 def _union(*names: Iterable[str]) -> tuple[str, ...]:
@@ -807,47 +980,22 @@ def _plan(formula: Formula) -> tuple[_Plan, int]:
 
 def _eval_and(
     ctx: RingContext,
-    conjuncts: Sequence[_Plan],
+    steps: tuple,
     node: Formula,
     target: tuple[str, ...],
 ) -> Relation:
     rels: list[tuple[Relation, int]] = []
     filters: list[_Filter] = []
-    deferred: list[_Plan] = []
-    for seq, c in enumerate(conjuncts):
-        f = c.node
-        if not c.fv:
+    for kind, seq, c in steps:
+        if kind == "ground":
             if eval_rel(ctx, c).nrows == 0:
                 return _empty(target)
-            continue
-        if isinstance(f, Less) or (
-            isinstance(f, Not) and isinstance(f.body, _ATOMS)
-        ):
-            filters.append(_atom_filter(ctx, c))
-            continue
-        if (
-            isinstance(f, Not)
-            or (isinstance(f, Equal) and len(c.fv) >= 3)
-            or (
-                isinstance(f, IntTimes)
-                and len(c.fv) >= 3
-                and not all(isinstance(s, (Var, Lit)) for s in (f.x, f.y, f.z))
-            )
-        ):
-            deferred.append(c)
-            continue
-        rels.append((eval_rel(ctx, c), seq))
-    covered = set().union(*(set(r.cols) for r, _ in rels)) if rels else set()
-    for c in deferred:
-        if set(c.fv) <= covered:
-            if isinstance(c.node, Not):
-                filters.append(_count_filter(ctx, c))
-            else:
-                filters.append(_atom_filter(ctx, c))
+        elif kind == "filter":
+            filters.append(_atom_filter(c, lambda cols: ctx.m))
+        elif kind == "count":
+            filters.append(_count_filter(ctx, c))
         else:
-            r = eval_rel(ctx, c)
-            rels.append((r, len(conjuncts) + len(rels)))
-            covered |= set(r.cols)
+            rels.append((eval_rel(ctx, c), seq))
     if rels:
         rels.sort(key=lambda it: (it[0].nrows, it[1]))
         cur = rels[0][0]
@@ -904,35 +1052,13 @@ def _eval_or(ctx: RingContext, p: _Plan) -> Relation:
 def _try_rank(ctx: RingContext, p: _Plan) -> Relation | None:
     """Bodies of shape (v <cmp> u) AND unary-in-v constraints: per-u witness
     counts come from the rank of u in the sorted unary witness set."""
+    if p.rank is None:
+        return None
+    cmp_atom, u, steps = p.rank
     node = p.node
     v = node.var
     m = ctx.m
-    body = p.kids[0]
-    flat = body.kids if isinstance(body.node, And) else (body,)
-    cmp_atom = None
-    others: list[_Plan] = []
-    for c in flat:
-        f = c.node
-        if (
-            cmp_atom is None
-            and isinstance(f, Less)
-            and isinstance(f.left, Var)
-            and isinstance(f.right, Var)
-            and f.left.name != f.right.name
-            and v in (f.left.name, f.right.name)
-        ):
-            cmp_atom = f
-            continue
-        others.append(c)
-    if cmp_atom is None:
-        return None
-    u = cmp_atom.right.name if cmp_atom.left.name == v else cmp_atom.left.name
-    for c in others:
-        if not set(c.fv) <= {v}:
-            return None
-    if isinstance(node, CountGE) and not set(p.kids[1].fv) <= {u}:
-        return None
-    sub = _eval_and(ctx, others, node, target=(v,))
+    sub = _eval_and(ctx, steps, node, target=(v,))
     witnesses = np.sort(sub.data[0])
     v_below = cmp_atom.left.name == v
     _charge(ctx, m, node)
@@ -955,38 +1081,42 @@ def _try_rank(ctx: RingContext, p: _Plan) -> Relation | None:
     elif isinstance(node, Majority):
         mask = 2 * cnt > m
     else:
-        tv = _eval_term_cols(ctx, node.count, {u: grid})
+        tv = _eval_term_cols(m, node.count, {u: grid})
         mask = cnt >= tv
     return Relation((u,), grid[mask].reshape(1, -1))
+
+
+def _linear_body(p: _Plan, m: int | None = None):
+    """For E v. over an equation in v and at most one other variable, its
+    polynomial (reduced mod m, if given) as (a, b) with a*v + b, when it is
+    of degree 1 in v; else None."""
+    body = p.kids[0]
+    if not isinstance(body.node, Equal) or p.node.var not in body.fv or len(body.fv) > 2:
+        return None
+    poly = body.poly if m is None else _poly_mod(body.poly, m)
+    return _split_linear(poly, body.fv.index(p.node.var))
 
 
 def _try_linear_exists(ctx: RingContext, p: _Plan) -> Relation | None:
     """Exists v over a single linear-in-v equation: solvability is a gcd
     divisibility test, vectorized over the remaining variable."""
-    body = p.kids[0]
-    if not isinstance(body.node, Equal):
-        return None
-    fvs = body.fv
-    v = p.node.var
-    if v not in fvs or len(fvs) > 2:
-        return None
     m = ctx.m
-    poly = _poly_mod(body.poly, m)
-    vi = fvs.index(v)
-    if max((e[vi] for e in poly), default=0) != 1:
+    split = _linear_body(p, m)
+    if split is None:
         return None
-    a_poly = {(e[1 - vi] if len(fvs) == 2 else 0,): c for e, c in poly.items() if e[vi] == 1}
-    b_poly = {(e[1 - vi] if len(fvs) == 2 else 0,): c for e, c in poly.items() if e[vi] == 0}
+    a_poly, b_poly = split
+    fvs = p.kids[0].fv
+    v = p.node.var
     if len(fvs) == 1:
         a = sum(c for c in a_poly.values()) % m
         b = sum(c for c in b_poly.values()) % m
         return _bool_rel((-b) % m % math.gcd(a, m) == 0)
-    u = fvs[1 - vi]
+    u = fvs[1 - fvs.index(v)]
     grid = np.arange(m, dtype=np.int64)
     _charge(ctx, m, p.node)
     av = eval_mod_array(_univar_coeffs(a_poly, m), grid, m)
     bv = eval_mod_array(_univar_coeffs(b_poly, m), grid, m)
-    g = np.gcd(av, m)
+    g = _gcd_with(av, m)
     mask = ((-bv) % m) % g == 0
     return Relation((u,), grid[mask].reshape(1, -1))
 
@@ -1025,12 +1155,12 @@ def _eval_count_ge(ctx: RingContext, p: _Plan, V0, groups, counts) -> Relation:
     zero = p.kids[1]
     tf = zero.fv
     if not tf:
-        val = _eval_term_cols(ctx, t, {})
+        val = _eval_term_cols(m, t, {})
         if val == 0:
             return _complement(ctx, _empty(V0), node)
         return Relation(V0, np.compress(counts >= val, groups, axis=1))
     if set(tf) <= set(V0):
-        tv = _eval_term_cols(ctx, t, dict(zip(V0, groups)))
+        tv = _eval_term_cols(m, t, dict(zip(V0, groups)))
         present_pass = np.compress(counts >= tv, groups, axis=1)
         zero_rel = _atom_rel(ctx, zero, False, node)
         zero_full = _extend_to(ctx, zero_rel, V0, node)
@@ -1044,7 +1174,7 @@ def _eval_count_ge(ctx: RingContext, p: _Plan, V0, groups, counts) -> Relation:
     total_t = m ** len(tf)
     _charge(ctx, total_t, node)
     tgrid = _decode_keys(np.arange(total_t, dtype=np.int64), len(tf), m)
-    tvals = _eval_term_cols(ctx, t, dict(zip(tf, tgrid)))
+    tvals = _eval_term_cols(m, t, dict(zip(tf, tgrid)))
     order = np.argsort(tvals, kind="stable")
     k_per = np.searchsorted(tvals[order], counts, side="right")
     total = int(k_per.sum())
@@ -1078,9 +1208,338 @@ def _count_ge_overlap(ctx, p: _Plan, V0, groups, counts) -> Relation:
         data = np.concatenate(
             [np.repeat(block.data, n_ex, axis=1), np.tile(ex_grid, block.nrows)]
         )
-        tv = _eval_term_cols(ctx, node.count, dict(zip(V0 + ex, data)))
+        tv = _eval_term_cols(m, node.count, dict(zip(V0 + ex, data)))
         parts.append(np.compress(np.repeat(cnts, n_ex) >= tv, data, axis=1))
     return _make_rel(V0 + ex, np.concatenate(parts, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# blocks of primes: one relational pass for a run of primes
+
+# the lane column: "" sorts before every variable name, so the lane is the
+# first column of a block relation and the most significant digit of its keys
+_LANE = ""
+
+
+@dataclass(eq=False)
+class _Block:
+    """Primes evaluated together.  Lane i is the prime p[i]; ctx, of modulus
+    max(p), is the base of the block's keys and carries its budget.
+
+    A block relation has the lane as its first column, and its values in
+    lane i lie in [0, p[i]); a relation over no variable is the set of
+    lanes at which it holds."""
+
+    p: np.ndarray
+    ctx: RingContext
+
+    def moduli(self, cols: dict) -> np.ndarray:
+        return self.p[cols[_LANE]]
+
+
+def _lane_set(lanes: np.ndarray) -> Relation:
+    return Relation((_LANE,), lanes.reshape(1, -1))
+
+
+def _lane_mask(blk: _Block, lanes: np.ndarray) -> np.ndarray:
+    keep = np.zeros(blk.p.size, dtype=bool)
+    keep[lanes] = True
+    return keep
+
+
+def _restrict(rel: Relation, keep: np.ndarray) -> Relation:
+    """The rows of rel in the lanes that the mask keep sets."""
+    return Relation(rel.cols, np.compress(keep[rel.data[0]], rel.data, axis=1))
+
+
+def _lane_coeffs(poly: dict, p: np.ndarray) -> list[np.ndarray]:
+    """Ascending coefficients of a one-variable polynomial, each reduced
+    mod every lane's prime."""
+    deg = max((e[0] for e in poly), default=-1)
+    return [_mod(poly.get((e,), 0), p) for e in range(deg + 1)]
+
+
+def _lane_poly(poly: dict, grid: Relation, p: np.ndarray) -> np.ndarray:
+    """A one-variable polynomial at each row of a (lane, x) grid, mod the
+    row's prime, by Horner.  Coefficients that fit stay unreduced: with
+    acc, x < p, acc * x + c cannot overflow."""
+    lane, x = grid.data
+    m = p[lane]
+    acc = np.zeros_like(x)
+    for e in range(max((e[0] for e in poly), default=-1), -1, -1):
+        acc *= x
+        c = poly.get((e,), 0)
+        if c:
+            acc += c if abs(c) < 2**62 else _mod(c, p)[lane]
+        acc %= m
+    return acc
+
+
+def _inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^-1 mod p for each a, nonzero mod the prime p beside it."""
+    return np.array(
+        [pow(x, -1, q) for x, q in zip(a.tolist(), p.tolist())], dtype=np.int64
+    )
+
+
+def _block_extend(blk: _Block, rel: Relation, var: str, node: Formula) -> Relation:
+    """rel with var added, ranging over [0, p) in each row's lane: the
+    ragged grid of the lanes when rel is a lane set."""
+    sizes = blk.p[rel.data[0]]
+    total = int(sizes.sum())
+    _charge(blk.ctx, total, node)
+    pos = sum(1 for c in rel.cols if c < var)
+    cols = rel.cols[:pos] + (var,) + rel.cols[pos:]
+    data = np.empty((len(cols), total), dtype=np.int64)
+    for i, col in zip([i for i in range(len(cols)) if i != pos], rel.data):
+        data[i] = np.repeat(col, sizes)
+    data[pos] = np.arange(total)
+    data[pos] -= np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return Relation(cols, data)
+
+
+def _block_complement(
+    blk: _Block, lanes: np.ndarray, rel: Relation, node: Formula
+) -> Relation:
+    """The assignments over rel.cols, the lane and at most one variable, that
+    rel lacks in each lane of lanes: lanes, or cells of their ragged grid."""
+    if len(rel.cols) == 1:
+        return _lane_set(lanes[~_lane_mask(blk, rel.data[0])[lanes]])
+    # a flag per cell of the ragged grid, cell start[lane] + x
+    ends = np.cumsum(blk.p[lanes])
+    start = np.zeros(blk.p.size, dtype=np.int64)
+    start[lanes] = ends - blk.p[lanes]
+    total = int(ends[-1]) if lanes.size else 0
+    _charge(blk.ctx, total, node)
+    keep = np.ones(total, dtype=bool)
+    keep[start[rel.data[0]] + rel.data[1]] = False
+    cells = np.flatnonzero(keep)
+    lane = lanes[np.searchsorted(ends, cells, side="right")]
+    return Relation(rel.cols, np.array([lane, cells - start[lane]]))
+
+
+def _block_atom(
+    blk: _Block, lanes: np.ndarray, atom: _Plan, negate: bool, node: Formula
+) -> Relation:
+    f = atom.node
+    if not atom.fv:
+        mask = _atom_mask(blk.p[lanes], f, {}, lanes.size)
+        return _lane_set(lanes[mask != negate])
+    if isinstance(f, Equal) and len(atom.fv) == 1:
+        return _block_univar(blk, lanes, atom, negate, node)
+    if isinstance(f, Equal):
+        return _block_linear_const(blk, lanes, atom, node)
+    # any other one-variable atom: a scan of the ragged grid
+    grid = _block_extend(blk, _lane_set(lanes), atom.fv[0], node)
+    cols = dict(zip(grid.cols, grid.data))
+    mask = _atom_mask(blk.moduli(cols), f, cols, grid.nrows)
+    return Relation(grid.cols, np.compress(mask != negate, grid.data, axis=1))
+
+
+def _block_univar(
+    blk: _Block, lanes: np.ndarray, atom: _Plan, negate: bool, node: Formula
+) -> Relation:
+    """A one-variable equation in each lane, by the degree of its polynomial
+    mod the lane's prime: the zero polynomial holds at every residue, a
+    nonzero constant at none, a linear one at the root -b/a, and one of
+    higher degree where Horner over all residues finds it zero."""
+    p = blk.p
+    coeffs = _lane_coeffs(atom.poly, p)
+    deg = np.full(p.size, -1)
+    for e, c in enumerate(coeffs):
+        deg[c != 0] = e
+    deg = deg[lanes]
+    parts = [np.zeros((2, 0), dtype=np.int64)]
+    lin = lanes[deg == 1]
+    if lin.size:
+        roots = (p[lin] - coeffs[0][lin]) * _inverse(coeffs[1][lin], p[lin]) % p[lin]
+        parts.append(np.array([lin, roots]))
+    full = lanes[deg == -1]
+    if full.size:
+        parts.append(_block_extend(blk, _lane_set(full), atom.fv[0], node).data)
+    scan = lanes[deg >= 2]
+    if scan.size:
+        _charge(blk.ctx, int((p[scan] // _SCAN_DISCOUNT + 1).sum()), node)
+        grid = _block_extend(blk, _lane_set(scan), atom.fv[0], node)
+        parts.append(np.compress(_lane_poly(atom.poly, grid, p) == 0, grid.data, axis=1))
+    # one part is taken as it is: the grid of a polynomial zero everywhere
+    data = parts[-1] if len(parts) == 2 else np.concatenate(parts, axis=1)
+    rel = Relation((_LANE, atom.fv[0]), data)
+    if negate:
+        return _block_complement(blk, lanes, rel, node)
+    _charge(blk.ctx, rel.nrows, node)
+    return rel
+
+
+def _block_linear_const(
+    blk: _Block, lanes: np.ndarray, atom: _Plan, node: Formula
+) -> Relation:
+    """Pairs (u, v) with a*v + b(u) = 0 for a constant a: v = -b(u)/a for
+    every u and, in lanes whose prime divides a, every v at each root of b."""
+    vi, a_poly, b_poly = _linear_pair(atom.poly)
+    u, v = atom.fv[1 - vi], atom.fv[vi]
+    p = blk.p
+    a = _mod(a_poly[(0,)], p)
+    grid = _block_extend(blk, _lane_set(lanes), u, node)
+    lane, uu = grid.data
+    rhs = -_lane_poly(b_poly, grid, p) % p[lane]
+    units = lanes[a[lanes] != 0]
+    inv = np.zeros(p.size, dtype=np.int64)
+    inv[units] = _inverse(a[units], p[units])
+    rel = _make_rel((_LANE, u, v), [lane, uu, rhs * inv[lane] % p[lane]])
+    free = lanes[a[lanes] == 0]
+    if free.size:
+        # alone, such a prime may scan the grid of (u, v)
+        _charge(blk.ctx, int(p[free].max()) ** 2, node)
+        solved = a[lane] != 0
+        roots = np.compress(~solved & (rhs == 0), grid.data, axis=1)
+        free_v = _block_extend(blk, Relation(grid.cols, roots), v, node)
+        data = np.concatenate([np.compress(solved, rel.data, axis=1), free_v.data], axis=1)
+        rel = Relation(rel.cols, data)
+    _charge(blk.ctx, rel.nrows, node)
+    return rel
+
+
+def _block_linear_exists(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
+    """E v. a(u)*v + b(u) = 0: solvable at u unless a(u) = 0 and b(u) != 0
+    mod the lane's prime."""
+    body = p.kids[0]
+    a_poly, b_poly = _linear_body(p)
+    u = body.fv[1 - body.fv.index(p.node.var)]
+    a = _lane_coeffs(a_poly, blk.p)
+    vanish = lanes[~np.any([c[lanes] for c in a], axis=0)]
+    if vanish.size:
+        # alone, such a prime evaluates the equation itself
+        _charge(blk.ctx, int(blk.p[vanish].max()) ** 2, p.node)
+    grid = _block_extend(blk, _lane_set(lanes), u, p.node)
+    solvable = _lane_poly(a_poly, grid, blk.p) != 0
+    solvable |= _lane_poly(b_poly, grid, blk.p) == 0
+    return Relation(grid.cols, np.compress(solvable, grid.data, axis=1))
+
+
+def _block_joins(
+    blk: _Block, cur: Relation, rels: list, filters: list[_Filter], node: Formula
+) -> list[tuple[Relation, list[_Filter]]]:
+    """Join rels, in conjunct order, into cur as _eval_and does, each lane
+    taking next the relation its prime alone would take; lanes whose picks
+    differ are joined apart.  Returns (joined, filters left) per set of
+    lanes."""
+    cur = _apply_filters(blk.ctx, cur, filters)
+    if not rels or cur.nrows == 0:
+        return [(cur, filters)]
+    shared = [len(set(r.cols) & set(cur.cols)) for r, _ in rels]
+    cands = [i for i, n in enumerate(shared) if n == max(shared)]
+    lanes = np.flatnonzero(_lane_mask(blk, cur.data[0]))
+    pick = np.zeros(lanes.size, dtype=np.int64)
+    if len(cands) > 1:
+        counts = [np.bincount(rels[i][0].data[0], minlength=blk.p.size)[lanes] for i in cands]
+        # argmin takes the first of equal counts: the lowest seq
+        pick = np.argmin(counts, axis=0)
+    picks = np.flatnonzero(np.bincount(pick))
+    out = []
+    for j in picks:
+        keep = _lane_mask(blk, lanes[pick == j])
+        part = (lambda r: r) if picks.size == 1 else (lambda r: _restrict(r, keep))
+        nxt = part(rels[cands[j]][0])
+        joined = nxt if cur.cols == (_LANE,) else _join(blk.ctx, part(cur), nxt, node)
+        rest = [(part(r), seq) for i, (r, seq) in enumerate(rels) if i != cands[j]]
+        out += _block_joins(blk, joined, rest, list(filters), node)
+    return out
+
+
+def _block_and(
+    blk: _Block, lanes: np.ndarray, steps: tuple, node: Formula, target: tuple[str, ...]
+) -> Relation:
+    rels = []
+    filters = []
+    for kind, seq, c in steps:
+        if kind == "ground":
+            # lanes where a ground conjunct fails go no further, as primes do
+            lanes = lanes[_lane_mask(blk, _block_rel(blk, lanes, c).data[0])[lanes]]
+            if not lanes.size:
+                return _empty((_LANE,) + target)
+        elif kind == "filter":
+            filters.append(_atom_filter(c, blk.moduli))
+        else:
+            rels.append((_block_rel(blk, lanes, c), seq))
+    keep = _lane_mask(blk, lanes)
+    rels = [(_restrict(r, keep), seq) for r, seq in rels]
+    parts = [np.zeros((1 + len(target), 0), dtype=np.int64)]
+    for cur, left in _block_joins(blk, _lane_set(lanes), rels, filters, node):
+        if cur.nrows == 0:
+            continue
+        for var in target:
+            if var not in cur.cols:
+                cur = _block_extend(blk, cur, var, node)
+                cur = _apply_filters(blk.ctx, cur, left)
+        if left:
+            raise InvariantError(f"unapplied filters in conjunction: {_snip(node)}")
+        parts.append(cur.data)
+    return Relation((_LANE,) + target, np.concatenate(parts, axis=1))
+
+
+def _block_or(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
+    parts = []
+    for d in p.kids:
+        r = _block_rel(blk, lanes, d)
+        for var in p.fv:
+            if var not in r.cols:
+                r = _block_extend(blk, r, var, p.node)
+        parts.append(r.data)
+    data = np.concatenate(parts, axis=1)
+    _charge(blk.ctx, data.shape[1], p.node)
+    return Relation((_LANE,) + p.fv, _dedup(data, blk.ctx.m))
+
+
+def _block_rel(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
+    """The relation of a plan at each lane of lanes, over the lane and
+    p.fv; lanes is an increasing array of lane indices."""
+    f = p.node
+    if isinstance(f, _ATOMS):
+        return _block_atom(blk, lanes, p, False, f)
+    if isinstance(f, Not):
+        if isinstance(f.body, _ATOMS):
+            return _block_atom(blk, lanes, p.kids[0], True, f)
+        return _block_complement(blk, lanes, _block_rel(blk, lanes, p.kids[0]), f)
+    if isinstance(f, And):
+        return _block_and(blk, lanes, p.steps, f, p.fv)
+    if isinstance(f, Or):
+        return _block_or(blk, lanes, p)
+    body = p.kids[0]
+    if isinstance(f, Exists) and len(body.fv) == 2 and _linear_body(p) is not None:
+        return _block_linear_exists(blk, lanes, p)
+    rel = _block_rel(blk, lanes, body)
+    if isinstance(f, Exists):
+        return _block_project(blk, rel, f.var)
+    return _block_mod_exists(blk, lanes, rel, f)
+
+
+def _block_project(blk: _Block, rel: Relation, var: str) -> Relation:
+    """E var.: the projection of rel that drops var."""
+    if var not in rel.cols:
+        return rel
+    if len(rel.cols) == 2:
+        return _lane_set(np.flatnonzero(_lane_mask(blk, rel.data[0])))
+    return _project(blk.ctx, rel, tuple(c for c in rel.cols if c != var))
+
+
+def _block_mod_exists(
+    blk: _Block, lanes: np.ndarray, rel: Relation, f: ModExists
+) -> Relation:
+    """E[r,q] var. over its body's relation rel: witness counts per lane
+    and group of the other variables."""
+    if rel.cols == (_LANE, f.var):
+        counts = np.bincount(rel.data[0], minlength=blk.p.size)
+        V0, groups, counts = (_LANE,), np.flatnonzero(counts)[None], counts[counts > 0]
+    elif f.var in rel.cols:
+        V0, groups, counts = _group_drop(blk.ctx, rel, f.var)
+    else:
+        # every row stands for all p values of var
+        V0, groups, counts = rel.cols, rel.data, blk.p[rel.data[0]]
+    hit = counts % f.modulus == f.residue
+    if f.residue:
+        return Relation(V0, np.compress(hit, groups, axis=1))
+    return _block_complement(blk, lanes, Relation(V0, np.compress(~hit, groups, axis=1)), f)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,7 +1556,7 @@ def eval_rel(ctx: RingContext, p: _Plan) -> Relation:
             return _atom_rel(ctx, p.kids[0], True, f)
         return _complement(ctx, eval_rel(ctx, p.kids[0]), f)
     if isinstance(f, And):
-        return _eval_and(ctx, p.kids, f, p.fv)
+        return _eval_and(ctx, p.steps, f, p.fv)
     if isinstance(f, Or):
         return _eval_or(ctx, p)
     return _eval_quant(ctx, p)
@@ -1124,3 +1583,21 @@ def eval_fast_bool(ctx: RingContext, sentence: Formula) -> bool:
     if rel.cols:
         raise ValueError("sentence has free variables")
     return rel.nrows > 0
+
+
+def eval_block(plan: _Plan, primes, tuple_budget: int) -> np.ndarray:
+    """The truth of a sentence's plan at each of a block of primes, in one
+    relational pass: every relation carries a lane column, the index of its
+    prime, and joins, dedup, projection and grouping key on the lane as well.
+    The plan must have plan.block set.
+
+    Lanes are always primes, so a kernel may invert any coefficient that is
+    nonzero mod its lane's prime.  Wherever a prime alone would charge the
+    tuple budget, the block charges at least as much, so the block raises
+    ResourceLimitError whenever one of its primes alone would, and perhaps
+    more often; the caller then evaluates the primes one at a time."""
+    p = np.asarray(primes, dtype=np.int64)
+    blk = _Block(p, RingContext(int(p.max()), tuple_budget=tuple_budget))
+    out = np.zeros(p.size, dtype=bool)
+    out[_block_rel(blk, np.arange(p.size), plan).data[0]] = True
+    return out

@@ -501,6 +501,21 @@ def test_small_chunks_and_pack_limit_keep_every_relation(monkeypatch):
     count_chunked("_complement", lambda rel: len(rel.cols))
     wide = set()  # the functions that asked _keys for wide keys
     real_unique = np.unique
+    count_filter = {"table": 0, "sorted": 0}  # the branches of its row test
+    real_pack, real_searchsorted = fastengine._pack, np.searchsorted
+
+    def pack(*args):
+        if sys._getframe(1).f_code.co_name == "fn":
+            count_filter["table"] += 1
+        return real_pack(*args)
+
+    def searchsorted(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "fn":
+            count_filter["sorted"] += 1
+        return real_searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(fastengine, "_pack", pack)
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
 
     def unique(*args, **kwargs):
         if kwargs.get("axis") is not None:
@@ -514,6 +529,18 @@ def test_small_chunks_and_pack_limit_keep_every_relation(monkeypatch):
     assert chunked == {"_grid_rel", "_complement"}
     # fn is the count filter's row test
     assert wide == {"_dedup", "_group_drop", "_join", "_anti_join", "fn"}
+    assert count_filter["table"] > 0 and count_filter["sorted"] > 0
+
+
+def test_gcd_with_matches_numpy_gcd():
+    cases = [(m, np.arange(m, dtype=np.int64)) for m in range(1, 201)]
+    for m in (10**6, 1_002_341):
+        sample = np.random.default_rng(m).integers(0, m, 100_000)
+        cases.append((m, np.concatenate([[0, 1, m - 1], sample])))
+    for m, values in cases:
+        got = fastengine._gcd_with(values, m)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.gcd(values, m)), m
 
 
 @pytest.mark.parametrize("m", [1_664_510, 1_664_511, 2_000_000])

@@ -1,15 +1,18 @@
 """Spectrum computation, Boolean algebra on spectra, and classification."""
 
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
 
-from ringspectra import evaluate, fastengine, spectra
+from ringspectra import evaluate, fastengine, spectra, verify
 from ringspectra.arith import IntPolynomial, cyclotomic, poly_roots_mod, sieve
-from ringspectra.constructions import congruence_sentence, cyclotomic_sentence
-from ringspectra.errors import DegenerateInputError, ResourceLimitError
-from ringspectra.logic import parse_sentence
+from ringspectra.constructions import FAMILIES, congruence_sentence, cyclotomic_sentence
+from ringspectra.errors import DegenerateInputError, ResourceLimitError, RingSpectraError
+from ringspectra.evaluate import DEFAULT_TUPLE_BUDGET, RingContext
+from ringspectra.logic import Equal, formula_to_text, parse_sentence, random_sentence
 from ringspectra.spectra import (
     CongruenceClass,
     Spectrum,
@@ -284,3 +287,125 @@ def test_sweep_compiles_the_sentence_once(monkeypatch):
     assert sp.members() == [
         int(p) for p in sp.table.primes if p % 12 == 5 and p != 5
     ]
+
+
+# the nine sentences of the benchmark's sweep workload
+SWEEP_SENTENCES = [
+    parse_sentence("E x. (((x * x) + 1) = 0)"),
+    parse_sentence("E x. ((x * x) = 2)"),
+    cyclotomic_sentence(20),
+    cyclotomic_sentence(12),
+    congruence_sentence(1, 12),
+    congruence_sentence(1, 7),
+    FAMILIES["powres"].build(n=3, d=3, r=1),
+    FAMILIES["prime"].build(),
+    FAMILIES["modcount"].build(r=1, q=4),
+]
+
+FAMILY_SENTENCES = [
+    FAMILIES[name].build(**params)
+    for name, params in {
+        "congruence": {"a": 2, "d": 5},
+        "cyclotomic": {"n": 12},
+        "modcount": {"r": 1, "q": 3},
+        "powres": {"n": 3, "d": 3, "r": 1},
+        "psi": {"q": 3},
+        "theta": {"q": 3},
+        "prime": {},
+    }.items()
+]
+
+
+def _prime_by_prime(s, bound, tuple_budget=DEFAULT_TUPLE_BUDGET):
+    """What spectrum(s, bound) gives one prime at a time: its bits, or the
+    message of the error it raises."""
+    plan, _ = fastengine._plan(s)
+    bits = []
+    for p in spectra.prime_table(bound).primes:
+        try:
+            ctx = RingContext(int(p), tuple_budget=tuple_budget)
+            bits.append(fastengine.eval_rel(ctx, plan).nrows > 0)
+        except RingSpectraError as exc:
+            return f"{exc} (at prime {p})"
+    return bits
+
+
+def _spectrum_outcome(s, bound, tuple_budget=None):
+    try:
+        return spectrum(s, bound, workers=1, tuple_budget=tuple_budget).bits.tolist()
+    except RingSpectraError as exc:
+        return str(exc)
+
+
+def test_block_path_matches_prime_by_prime(monkeypatch):
+    # claim 12's corpus: the sentences that take the block path; the others
+    # run the prime-by-prime loop in spectrum itself
+    rng = random.Random(verify.ENGINE_FUZZ_SEED)
+    corpus = [random_sentence(rng, max_depth=5) for _ in range(100)]
+    blocked = [s for s in corpus if fastengine._plan(s)[0].block]
+    assert len(blocked) >= 50
+    assert not fastengine._plan(FAMILIES["psi"].build(q=3))[0].block
+    fired = set()
+
+    def watch(name, kinds):
+        real = getattr(fastengine, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            fired.update(kinds(sys._getframe(1).f_code.co_name, out, *args))
+            return out
+
+        monkeypatch.setattr(fastengine, name, wrapper)
+
+    def atom_kinds(caller, out, blk, lanes, atom, negate, node):
+        if not atom.fv:
+            return ["ground atom"]
+        return ["grid scan"] if not isinstance(atom.node, Equal) else []
+
+    def degree_kinds(caller, coeffs, poly, p):
+        if caller != "_block_univar":
+            return []
+        deg = np.full(p.size, -1)
+        for e, c in enumerate(coeffs):
+            deg[c != 0] = e
+        return [("all", "none", "linear")[d + 1] if d < 2 else "horner" for d in set(deg)]
+
+    watch("_block_atom", atom_kinds)
+    watch("_lane_coeffs", degree_kinds)
+    for name in ("_block_linear_const", "_block_linear_exists", "_block_or",
+                 "_block_project", "_block_mod_exists"):
+        watch(name, lambda caller, out, *args, name=name: [name])
+    watch("_block_complement", lambda caller, out, blk, lanes, rel, node: [
+        "lane complement" if len(rel.cols) == 1 else "ragged complement"])
+    watch("_atom_filter", lambda caller, out, conj, moduli: [
+        f"{type(conj.node).__name__} filter"]
+        if isinstance(getattr(moduli, "__self__", None), fastengine._Block) else [])
+    watch("_join", lambda caller, out, *args: ["join"] if caller == "_block_joins" else [])
+    watch("_block_extend", lambda caller, out, *args: ["extend"] if caller == "_block_and" else [])
+    watch("eval_rel", lambda caller, out, *args: ["prime by prime"] if caller == "_eval_chunk" else [])
+    extra = [
+        # y enters the conjunction by extension, then meets its filter
+        "E x. E y. (((x * 2) = 1) & (y < x))",
+        # a = (3 - b^2) / 2, and where p = 2, every a at each root of b^2 = 3
+        "E a. E b. ((((2 * a) + (b * b)) = 3) & (b = 5) & (a < 4))",
+    ]
+    for s in FAMILY_SENTENCES + SWEEP_SENTENCES + blocked + [parse_sentence(t) for t in extra]:
+        want = _prime_by_prime(s, 2000)
+        assert _spectrum_outcome(s, 2000) == want, formula_to_text(s)
+    assert fired >= {
+        "ground atom", "grid scan", "all", "none", "linear", "horner",
+        "_block_linear_const", "_block_linear_exists", "_block_or", "_block_project",
+        "_block_mod_exists", "lane complement", "ragged complement", "Less filter",
+        "Not filter", "join", "extend", "prime by prime",
+    }
+
+
+@pytest.mark.parametrize("budget", [100, 1000, 30_000])
+def test_block_budget_error_names_the_prime_as_prime_by_prime(budget):
+    # the block runs out of budget where a prime alone would not, or where
+    # one would, and the primes are then evaluated one at a time
+    s = FAMILIES["powres"].build(n=3, d=3, r=1)
+    assert fastengine._plan(s)[0].block
+    want = _prime_by_prime(s, 3000, budget)
+    assert _spectrum_outcome(s, 3000, budget) == want
+    assert isinstance(want, str) == (budget < 3000)
