@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import fastengine
+from . import blockengine, fastengine
 from .arith import IntPolynomial, PrimeTable, poly_roots_mod, sieve
 from .errors import DegenerateInputError, ResourceLimitError, RingSpectraError
 from .evaluate import DEFAULT_TUPLE_BUDGET, RingContext
@@ -187,7 +187,7 @@ def _eval_chunk(args) -> list[bool]:
     for block in _blocks(primes):
         if plan.block and len(block) > 1:
             try:
-                out.extend(fastengine.eval_block(plan, block, tuple_budget).tolist())
+                out.extend(blockengine.eval_block(plan, block, tuple_budget).tolist())
                 continue
             except ResourceLimitError:
                 pass

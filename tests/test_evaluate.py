@@ -375,6 +375,28 @@ def test_fast_path_agrees_with_the_reference(monkeypatch, strategy, text, patter
     assert calls
 
 
+def test_count_filter_finds_the_groups_of_a_body_without_its_variable(monkeypatch):
+    # E w. binds no variable of its body, whose rows are then its groups; x
+    # enters the body by extension after y, so the rows come out of key
+    # order, and with fewer rows to test than m**2 group keys the row test
+    # looks them up in sorted order
+    s = parse_sentence(
+        "E x. E y. ((x = x) & ((y * y) = 1) & (x < 3)"
+        " & !(E w. (((y * y) = 1) & (x < 3))))"
+    )
+    lookups = []
+    real_searchsorted = np.searchsorted
+
+    def searchsorted(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "fn":
+            lookups.append(args)
+        return real_searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    assert [eval_sentence(s, m, engine="both") for m in range(3, 13)] == [False] * 10
+    assert lookups
+
+
 @pytest.mark.parametrize(
     "text, pattern, negations",
     [

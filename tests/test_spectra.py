@@ -7,10 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from ringspectra import evaluate, fastengine, spectra, verify
+from ringspectra import blockengine, evaluate, fastengine, spectra, verify
 from ringspectra.arith import IntPolynomial, cyclotomic, poly_roots_mod, sieve
 from ringspectra.constructions import FAMILIES, congruence_sentence, cyclotomic_sentence
-from ringspectra.errors import DegenerateInputError, ResourceLimitError, RingSpectraError
+from ringspectra.errors import (
+    DegenerateInputError,
+    InvariantError,
+    ResourceLimitError,
+    RingSpectraError,
+)
 from ringspectra.evaluate import DEFAULT_TUPLE_BUDGET, RingContext
 from ringspectra.logic import Equal, formula_to_text, parse_sentence, random_sentence
 from ringspectra.spectra import (
@@ -347,15 +352,15 @@ def test_block_path_matches_prime_by_prime(monkeypatch):
     assert not fastengine._plan(FAMILIES["psi"].build(q=3))[0].block
     fired = set()
 
-    def watch(name, kinds):
-        real = getattr(fastengine, name)
+    def watch(name, kinds, module=blockengine):
+        real = getattr(module, name)
 
         def wrapper(*args):
             out = real(*args)
             fired.update(kinds(sys._getframe(1).f_code.co_name, out, *args))
             return out
 
-        monkeypatch.setattr(fastengine, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     def atom_kinds(caller, out, blk, lanes, atom, negate, node):
         if not atom.fv:
@@ -379,10 +384,11 @@ def test_block_path_matches_prime_by_prime(monkeypatch):
         "lane complement" if len(rel.cols) == 1 else "ragged complement"])
     watch("_atom_filter", lambda caller, out, conj, moduli: [
         f"{type(conj.node).__name__} filter"]
-        if isinstance(getattr(moduli, "__self__", None), fastengine._Block) else [])
+        if isinstance(getattr(moduli, "__self__", None), blockengine._Block) else [])
     watch("_join", lambda caller, out, *args: ["join"] if caller == "_block_joins" else [])
     watch("_block_extend", lambda caller, out, *args: ["extend"] if caller == "_block_and" else [])
-    watch("eval_rel", lambda caller, out, *args: ["prime by prime"] if caller == "_eval_chunk" else [])
+    watch("eval_rel", lambda caller, out, *args: ["prime by prime"] if caller == "_eval_chunk" else [],
+          module=fastengine)
     extra = [
         # y enters the conjunction by extension, then meets its filter
         "E x. E y. (((x * 2) = 1) & (y < x))",
@@ -409,3 +415,15 @@ def test_block_budget_error_names_the_prime_as_prime_by_prime(budget):
     want = _prime_by_prime(s, 3000, budget)
     assert _spectrum_outcome(s, 3000, budget) == want
     assert isinstance(want, str) == (budget < 3000)
+
+
+def test_block_atom_refuses_a_negated_two_variable_equation():
+    # such an atom is a filter in a conjunction, and elsewhere keeps its
+    # sentence off the block path
+    s = parse_sentence("E x. E y. !((x + (2 * y)) = 1)")
+    assert not fastengine._plan(s)[0].block
+    atom = fastengine._plan(s)[0].kids[0].kids[0].kids[0]
+    assert isinstance(atom.node, Equal) and len(atom.fv) == 2
+    blk = blockengine._Block(np.array([5, 7]), RingContext(7))
+    with pytest.raises(InvariantError, match="no block kernel"):
+        blockengine._block_atom(blk, np.arange(2), atom, True, atom.node)
