@@ -194,10 +194,11 @@ def _sorted_unique(keys: np.ndarray, counts: bool = False):
     return uniq, np.diff(np.append(np.flatnonzero(first), keys.size))
 
 
-def _dedup(data: np.ndarray, m: int) -> np.ndarray:
-    """The unique assignments of (k, n) data, in lexicographic order."""
-    if data.shape[0] == 0 or data.shape[1] <= 1:
-        return data[:, :1]
+def _dedup(data, m: int) -> np.ndarray:
+    """The unique assignments of (k, n) data, given as an array or as the
+    list of its k columns, in lexicographic order."""
+    if len(data) == 0 or len(data[0]) <= 1:
+        return np.asarray(data)[:, :1]
     (key,), decode = _keys(m, data)
     return decode(_sorted_unique(key))
 
@@ -256,8 +257,8 @@ def _project(ctx: RingContext, rel: Relation, keep: tuple[str, ...]) -> Relation
         return rel
     if not keep:
         return _bool_rel(rel.nrows > 0)
-    idx = [rel.cols.index(c) for c in keep]
-    return Relation(keep, _dedup(rel.data[idx], ctx.m))
+    # the kept columns go to _dedup as views, which packs them into keys
+    return Relation(keep, _dedup(_columns(rel, keep), ctx.m))
 
 
 def _extend(ctx: RingContext, rel: Relation, var: str, node: Formula) -> Relation:

@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import blockengine, fastengine
+from . import fastengine
 from .arith import IntPolynomial, PrimeTable, poly_roots_mod, sieve
 from .errors import DegenerateInputError, ResourceLimitError, RingSpectraError
 from .evaluate import DEFAULT_TUPLE_BUDGET, RingContext
@@ -181,6 +181,10 @@ def _eval_chunk(args) -> list[bool]:
     when every node of its plan has a block kernel, else one prime at a
     time.  A block that runs out of budget is evaluated again prime by
     prime, so that the error names the prime where it occurs."""
+    # imported on first use, so that processes that never sweep do not
+    # compile it
+    from . import blockengine
+
     sentence, primes, tuple_budget = args
     plan, _ = fastengine._plan(sentence)
     out: list[bool] = []
