@@ -492,20 +492,20 @@ def _linear_pair(poly: dict):
 
 
 def _linear_const_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
-    """Pairs (u, v) with a*v + b(u) = 0 (mod m), constant a."""
+    """Pairs (u, v) with a*v + b(u) = 0 (mod m), constant a: the g
+    solutions v of each solvable u, written straight to their rows."""
     m = ctx.m
     a = next(iter(a_poly.values())) % m
     grid = np.arange(m, dtype=np.int64)
-    bv = eval_mod_array(_univar_coeffs(b_poly, m), grid, m)
-    rhs = (-bv) % m
+    rhs = (-eval_mod_array(_univar_coeffs(b_poly, m), grid, m)) % m
     mask, base, step, g = _linear_solutions(a, rhs, m)
     um = grid[mask]
     _charge(ctx, um.size * g, node)
-    uu = np.repeat(um, g)
-    vv = np.repeat(base[mask], g) + np.tile(
-        np.arange(g, dtype=np.int64) * step, um.size
-    )
-    return _make_rel((u, v), [uu, vv])
+    data = np.empty((2, um.size * g), dtype=np.int64)
+    uu, vv = data if u < v else data[::-1]
+    uu.reshape(-1, g)[:] = um[:, None]
+    np.add(base[mask][:, None], np.arange(g, dtype=np.int64) * step, out=vv.reshape(-1, g))
+    return Relation(tuple(sorted((u, v))), data)
 
 
 def _linear_var_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
