@@ -291,12 +291,35 @@ def cyclotomic(n: int) -> IntPolynomial:
 # Roots modulo a prime
 
 
-def eval_mod_array(coeffs, xs: np.ndarray, m: int) -> np.ndarray:
-    """Horner evaluation of a coefficient sequence at an int64 array, mod m."""
+def reduce_mod(c: int, m):
+    """c mod m for an int c of any size, m a modulus or an int64 array of them."""
+    if isinstance(m, int) or abs(c) < 2**62:
+        return c % m
+    return (c % m.astype(object)).astype(np.int64)
+
+
+def eval_mod_array(coeffs, xs: np.ndarray, m) -> np.ndarray:
+    """Horner evaluation of ascending integer coefficients at an int64 array
+    xs in [0, m), mod m: a modulus below 2^31, or an array of one per x.
+    With B a bound on |acc| and t = max(m) - 1, each step takes B to
+    B*t + |c|, and acc is reduced only before a step that could pass 2^62."""
+    top = int(m.max(initial=1) if isinstance(m, np.ndarray) else m) - 1
     acc = np.zeros_like(xs)
-    for c in reversed([c % m for c in coeffs]):
-        acc = (acc * xs + c) % m
-    return acc
+    bound = 0  # 0 while acc is all zero
+    for c in reversed(coeffs):
+        c = int(c)
+        if abs(c) >= 2**62:
+            c = reduce_mod(c, m)
+        size = top if isinstance(c, np.ndarray) else abs(c)
+        if bound * top + size >= 2**62:
+            np.remainder(acc, m, out=acc)
+            bound = top
+        if bound:
+            acc *= xs
+        if size:
+            acc += c
+        bound = bound * top + size
+    return np.remainder(acc, m, out=acc)
 
 
 def poly_roots_mod(f: IntPolynomial, p: int, scan_limit: int = ROOT_SCAN_LIMIT) -> list[int]:
@@ -310,9 +333,7 @@ def poly_roots_mod(f: IntPolynomial, p: int, scan_limit: int = ROOT_SCAN_LIMIT) 
     if not any(red):
         raise DegenerateInputError(f"polynomial is identically zero mod {p}")
     if p <= scan_limit:
-        xs = np.arange(p, dtype=np.int64)
-        vals = eval_mod_array(f.coeffs, xs, p)
-        return [int(x) for x in xs[vals == 0]]
+        return np.flatnonzero(eval_mod_array(red, np.arange(p, dtype=np.int64), p) == 0).tolist()
     return _roots_by_gcd(red, p)
 
 

@@ -20,10 +20,11 @@ evaluated one prime at a time by fastengine.eval_rel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arith import eval_mod_array, reduce_mod
 from .errors import InvariantError
 from .evaluate import RingContext
 from .fastengine import (
@@ -42,11 +43,11 @@ from .fastengine import (
     _linear_body,
     _linear_pair,
     _make_rel,
-    _mod,
     _next_join,
     _Plan,
     _project,
     _snip,
+    _univar_coeffs,
 )
 from .logic import And, Equal, Exists, Formula, ModExists, Not, Or
 
@@ -66,9 +67,23 @@ class _Block:
 
     p: np.ndarray
     ctx: RingContext
+    inverses: dict = field(default_factory=dict)
 
     def moduli(self, cols: dict) -> np.ndarray:
         return self.p[cols[_LANE]]
+
+    def inverse(self, c: int) -> np.ndarray:
+        """c^-1 mod each lane's prime (meaningless where it divides c), once
+        per block: c^(p-2) by square and multiply, products below 2^46."""
+        if c not in self.inverses:
+            p = self.p
+            out, a, e = np.ones_like(p), reduce_mod(c, p), p - 2
+            while e.any():
+                out = np.where(e & 1, out * a % p, out)
+                a = a * a % p
+                e >>= 1
+            self.inverses[c] = out
+        return self.inverses[c]
 
 
 def _lane_set(lanes: np.ndarray) -> Relation:
@@ -89,31 +104,7 @@ def _restrict(rel: Relation, keep: np.ndarray) -> Relation:
 def _lane_coeffs(poly: dict, p: np.ndarray) -> list[np.ndarray]:
     """Ascending coefficients of a one-variable polynomial, each reduced
     mod every lane's prime."""
-    deg = max((e[0] for e in poly), default=-1)
-    return [_mod(poly.get((e,), 0), p) for e in range(deg + 1)]
-
-
-def _lane_poly(poly: dict, grid: Relation, p: np.ndarray) -> np.ndarray:
-    """A one-variable polynomial at each row of a (lane, x) grid, mod the
-    row's prime, by Horner.  Coefficients that fit stay unreduced: with
-    acc, x < p, acc * x + c cannot overflow."""
-    lane, x = grid.data
-    m = p[lane]
-    acc = np.zeros_like(x)
-    for e in range(max((e[0] for e in poly), default=-1), -1, -1):
-        acc *= x
-        c = poly.get((e,), 0)
-        if c:
-            acc += c if abs(c) < 2**62 else _mod(c, p)[lane]
-        acc %= m
-    return acc
-
-
-def _inverse(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a^-1 mod p for each a, nonzero mod the prime p beside it."""
-    return np.array(
-        [pow(x, -1, q) for x, q in zip(a.tolist(), p.tolist())], dtype=np.int64
-    )
+    return [reduce_mod(c, p) for c in _univar_coeffs(poly)]
 
 
 def _block_extend(blk: _Block, rel: Relation, var: str, node: Formula) -> Relation:
@@ -189,7 +180,7 @@ def _block_univar(
     parts = [np.zeros((2, 0), dtype=np.int64)]
     lin = lanes[deg == 1]
     if lin.size:
-        roots = (p[lin] - coeffs[0][lin]) * _inverse(coeffs[1][lin], p[lin]) % p[lin]
+        roots = (p[lin] - coeffs[0][lin]) * blk.inverse(atom.poly[(1,)])[lin] % p[lin]
         parts.append(np.array([lin, roots]))
     full = lanes[deg == -1]
     if full.size:
@@ -198,7 +189,9 @@ def _block_univar(
     if scan.size:
         _charge(blk.ctx, int((p[scan] // _SCAN_DISCOUNT + 1).sum()), node)
         grid = _block_extend(blk, _lane_set(scan), atom.fv[0], node)
-        parts.append(np.compress(_lane_poly(atom.poly, grid, p) == 0, grid.data, axis=1))
+        lane, x = grid.data
+        values = eval_mod_array(_univar_coeffs(atom.poly), x, p[lane])
+        parts.append(np.compress(values == 0, grid.data, axis=1))
     # one part is taken as it is: the grid of a polynomial zero everywhere
     data = parts[-1] if len(parts) == 2 else np.concatenate(parts, axis=1)
     rel = Relation((_LANE, atom.fv[0]), data)
@@ -216,14 +209,12 @@ def _block_linear_const(
     vi, a_poly, b_poly = _linear_pair(atom.poly)
     u, v = atom.fv[1 - vi], atom.fv[vi]
     p = blk.p
-    a = _mod(a_poly[(0,)], p)
+    a = reduce_mod(a_poly[(0,)], p)
     grid = _block_extend(blk, _lane_set(lanes), u, node)
     lane, uu = grid.data
-    rhs = -_lane_poly(b_poly, grid, p) % p[lane]
-    units = lanes[a[lanes] != 0]
-    inv = np.zeros(p.size, dtype=np.int64)
-    inv[units] = _inverse(a[units], p[units])
-    rel = _make_rel((_LANE, u, v), [lane, uu, rhs * inv[lane] % p[lane]])
+    m = p[lane]
+    rhs = -eval_mod_array(_univar_coeffs(b_poly), uu, m) % m
+    rel = _make_rel((_LANE, u, v), [lane, uu, rhs * blk.inverse(a_poly[(0,)])[lane] % m])
     free = lanes[a[lanes] == 0]
     if free.size:
         # alone, such a prime may scan the grid of (u, v)
@@ -249,8 +240,9 @@ def _block_linear_exists(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
         # alone, such a prime evaluates the equation itself
         _charge(blk.ctx, int(blk.p[vanish].max()) ** 2, p.node)
     grid = _block_extend(blk, _lane_set(lanes), u, p.node)
-    solvable = _lane_poly(a_poly, grid, blk.p) != 0
-    solvable |= _lane_poly(b_poly, grid, blk.p) == 0
+    x, m = grid.data[1], blk.p[grid.data[0]]
+    solvable = eval_mod_array(_univar_coeffs(a_poly), x, m) != 0
+    solvable |= eval_mod_array(_univar_coeffs(b_poly), x, m) == 0
     return Relation(grid.cols, np.compress(solvable, grid.data, axis=1))
 
 
@@ -377,11 +369,13 @@ def _block_mod_exists(
     return _block_complement(blk, lanes, Relation(V0, np.compress(~hit, groups, axis=1)), f)
 
 
-def eval_block(plan: _Plan, primes, tuple_budget: int) -> np.ndarray:
+def eval_block(plan: _Plan, primes, ctx: RingContext) -> np.ndarray:
     """The truth of a sentence's plan at each of a block of primes, in one
     relational pass: every relation carries a lane column, the index of its
     prime, and joins, dedup, projection and grouping key on the lane as well.
-    The plan must have plan.block set (fastengine._has_block_kernel).
+    The plan must have plan.block set (fastengine._has_block_kernel); ctx,
+    of modulus max(primes), carries the tuple budget and records the pass's
+    largest relation in ctx.peak_rows.
 
     Lanes are always primes, so a kernel may invert any coefficient that is
     nonzero mod its lane's prime.  Wherever a prime alone would charge the
@@ -389,7 +383,6 @@ def eval_block(plan: _Plan, primes, tuple_budget: int) -> np.ndarray:
     ResourceLimitError whenever one of its primes alone would, and perhaps
     more often; the caller then evaluates the primes one at a time."""
     p = np.asarray(primes, dtype=np.int64)
-    blk = _Block(p, RingContext(int(p.max()), tuple_budget=tuple_budget))
     out = np.zeros(p.size, dtype=bool)
-    out[_block_rel(blk, np.arange(p.size), plan).data[0]] = True
+    out[_block_rel(_Block(p, ctx), np.arange(p.size), plan).data[0]] = True
     return out

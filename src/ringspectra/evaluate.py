@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import EngineDisagreementError, ResourceLimitError
@@ -53,6 +53,8 @@ class RingContext:
     m: int
     strict_literals: bool = False
     tuple_budget: int = DEFAULT_TUPLE_BUDGET
+    # the largest relation charged against tuple_budget so far
+    peak_rows: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:

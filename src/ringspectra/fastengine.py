@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .arith import eval_mod_array
+from .arith import eval_mod_array, reduce_mod
 from .errors import InvariantError, ResourceLimitError
 from .evaluate import RingContext
 from .logic import (
@@ -130,6 +130,7 @@ def _snip(node: Formula) -> str:
 
 
 def _charge(ctx: RingContext, n: int, node: Formula) -> None:
+    ctx.peak_rows = max(ctx.peak_rows, n)
     if n > ctx.tuple_budget:
         raise ResourceLimitError(
             f"relation size {n} exceeds tuple budget {ctx.tuple_budget} "
@@ -337,20 +338,12 @@ def _poly_mod(poly: dict, m: int) -> dict:
     return {e: c % m for e, c in poly.items() if c % m}
 
 
-def _mod(c: int, m):
-    """c mod m for a Python int c of any size, where m is a modulus or an
-    int64 array of moduli."""
-    if isinstance(m, int) or abs(c) < 2**62:
-        return c % m
-    return (c % m.astype(object)).astype(np.int64)
-
-
 def _eval_term_cols(m, t: Term, cols: dict):
     """A term's values on columns, mod m: a modulus, or one per row."""
     if isinstance(t, Var):
         return cols[t.name]
     if isinstance(t, Lit):
-        return _mod(t.value, m)
+        return reduce_mod(t.value, m)
     a = _eval_term_cols(m, t.left, cols)
     b = _eval_term_cols(m, t.right, cols)
     if isinstance(t, Add):
@@ -403,15 +396,11 @@ def _grid_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Rel
     return Relation(fvs, np.concatenate(parts, axis=1))
 
 
-def _univar_coeffs(poly: dict, m: int) -> list[int]:
-    """Coefficients (ascending) of a one-variable polynomial dict, mod m."""
+def _univar_coeffs(poly: dict) -> list[int]:
+    """Ascending coefficients of a one-variable polynomial dict, up to its
+    largest exponent."""
     deg = max((e[0] for e in poly), default=-1)
-    coeffs = [0] * (deg + 1)
-    for e, c in poly.items():
-        coeffs[e[0]] = c % m
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    return [poly.get((e,), 0) for e in range(deg + 1)]
 
 
 def _linear_solutions(a: int, rhs: np.ndarray, m: int):
@@ -431,7 +420,7 @@ def _equal_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Re
     k = len(fvs)
     poly = _poly_mod(atom.poly, m)
     if k == 1:
-        coeffs = _univar_coeffs(poly, m)
+        coeffs = _univar_coeffs(poly)
         if not coeffs:
             hits = np.arange(m, dtype=np.int64)
         elif len(coeffs) == 1:
@@ -497,7 +486,7 @@ def _linear_const_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
     m = ctx.m
     a = next(iter(a_poly.values())) % m
     grid = np.arange(m, dtype=np.int64)
-    rhs = (-eval_mod_array(_univar_coeffs(b_poly, m), grid, m)) % m
+    rhs = (-eval_mod_array(_univar_coeffs(b_poly), grid, m)) % m
     mask, base, step, g = _linear_solutions(a, rhs, m)
     um = grid[mask]
     _charge(ctx, um.size * g, node)
@@ -516,8 +505,8 @@ def _linear_var_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
             f"per-element congruence solve too large (m={m}) for: {_snip(node)}"
         )
     grid = np.arange(m, dtype=np.int64)
-    av = eval_mod_array(_univar_coeffs(a_poly, m), grid, m)
-    bv = eval_mod_array(_univar_coeffs(b_poly, m), grid, m)
+    av = eval_mod_array(_univar_coeffs(a_poly), grid, m)
+    bv = eval_mod_array(_univar_coeffs(b_poly), grid, m)
     rhs = (-bv) % m
     g = _gcd_with(av, m)
     mask = rhs % g == 0
@@ -1112,8 +1101,8 @@ def _try_linear_exists(ctx: RingContext, p: _Plan) -> Relation | None:
     u = fvs[1 - fvs.index(v)]
     grid = np.arange(m, dtype=np.int64)
     _charge(ctx, m, p.node)
-    av = eval_mod_array(_univar_coeffs(a_poly, m), grid, m)
-    bv = eval_mod_array(_univar_coeffs(b_poly, m), grid, m)
+    av = eval_mod_array(_univar_coeffs(a_poly), grid, m)
+    bv = eval_mod_array(_univar_coeffs(b_poly), grid, m)
     g = _gcd_with(av, m)
     mask = ((-bv) % m) % g == 0
     return Relation((u,), grid[mask].reshape(1, -1))

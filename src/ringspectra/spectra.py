@@ -156,24 +156,11 @@ def class_spectrum(d: int, residues: Iterable[int], bound: int) -> Spectrum:
     return Spectrum(bound, np.isin(table.primes % d, rs))
 
 
-# a block of primes is a run whose sum stays below this.  The numpy calls of
-# a pass are shared by more primes the larger it is, but relations with a
-# row per residue, and peak memory with them, grow with it too.  For spectra
-# to 2000 on a 2-core VM, 2^15 and 2^16 ran equally fast, and raised peak
-# RSS by 2.2 and 4.5 MB over one prime at a time
-_BLOCK_SUM = 1 << 15
-
-
-def _blocks(primes: np.ndarray):
-    """Runs of consecutive primes summing to less than _BLOCK_SUM; a prime
-    at least that large is a run of its own."""
-    ends = np.cumsum(primes)
-    start = 0
-    while start < len(primes):
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _BLOCK_SUM)))
-        yield primes[start:stop]
-        start = stop
+# the first block of a chunk sums to less than _BLOCK_ROWS, and each later one
+# to less than the previous sum times _BLOCK_ROWS over the largest relation
+# its pass charged: a row per residue keeps sums under 2^15 (as fast as 2^16
+# to 2000, at half the added peak RSS), a row per prime takes the rest at once
+_BLOCK_ROWS = 1 << 15
 
 
 def _eval_chunk(args) -> list[bool]:
@@ -187,14 +174,22 @@ def _eval_chunk(args) -> list[bool]:
 
     sentence, primes, tuple_budget = args
     plan, _ = fastengine._plan(sentence)
+    ends = np.cumsum(primes)
     out: list[bool] = []
-    for block in _blocks(primes):
+    start, size = 0, _BLOCK_ROWS
+    while start < len(primes):
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + size)))
+        block, start, size = primes[start:stop], stop, _BLOCK_ROWS
         if plan.block and len(block) > 1:
+            ctx = RingContext(int(block[-1]), tuple_budget=tuple_budget)
             try:
-                out.extend(blockengine.eval_block(plan, block, tuple_budget).tolist())
+                out.extend(blockengine.eval_block(plan, block, ctx).tolist())
                 continue
             except ResourceLimitError:
                 pass
+            finally:
+                size = (int(ends[stop - 1]) - base) * _BLOCK_ROWS // max(ctx.peak_rows, 1)
         for p in block:
             try:
                 ctx = RingContext(int(p), tuple_budget=tuple_budget)

@@ -117,7 +117,7 @@ def test_criterion_14_worker_determinism(suite, capsys):
 def test_claim_runtime_budgets(suite):
     # wall-clock gates, kept out of the verdicts so that a busy machine can
     # neither fail a claim nor make claim 14 see a difference across workers
-    for claim_id, seconds in ((1, 5.0), (5, 120.0), (11, 30.0)):
+    for claim_id, seconds in ((1, 5.0), (5, 10.0), (11, 30.0)):
         assert suite[claim_id].elapsed < seconds, (claim_id, suite[claim_id].elapsed)
 
 

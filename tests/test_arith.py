@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ringspectra.arith import (
     IntPolynomial,
     cyclotomic,
+    eval_mod_array,
     frac_mod,
     poly_roots_mod,
     sieve,
@@ -19,6 +21,7 @@ from ringspectra.errors import (
     NoInverseError,
     ResourceLimitError,
 )
+from ringspectra.evaluate import MAX_MODULUS
 
 
 # -- oracles ----------------------------------------------------------------
@@ -261,3 +264,48 @@ def test_roots_gcd_path_large_prime():
 def test_roots_degenerate_reduction():
     with pytest.raises(DegenerateInputError):
         poly_roots_mod(IntPolynomial((5, 10, 25)), 5)
+
+
+def _exact_horner(coeffs, xs, m):
+    """Horner on Python ints: object arrays never overflow."""
+    acc = np.zeros(len(xs), dtype=object)
+    for c in reversed(coeffs):
+        acc = acc * xs.astype(object) + c
+    return (acc % np.array(np.ravel(m).tolist(), dtype=object)).astype(np.int64)
+
+
+def test_horner_is_exact_however_rarely_it_reduces():
+    rng = random.Random(20)
+    top = max(p for p in range(MAX_MODULUS - 100, MAX_MODULUS + 1) if _is_prime_trial(p))
+    big = [4999963, top, 4999961]
+    rows = np.array([2, top, 2, 2] + [rng.choice(big) for _ in range(200)], dtype=np.int64)
+    cases = [
+        # a scalar prime near the modulus cap, at its largest residues too
+        (top, [0, 1, 2, top - 2, top - 1] + [rng.randrange(top) for _ in range(50)]),
+        # one modulus per row, 2 among primes near 5 * 10^6
+        (rows, [m - 1 if i % 3 else rng.randrange(m) for i, m in enumerate(rows)]),
+    ]
+
+    def coefficient():
+        return rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-(2**70), 2**70),
+                           rng.choice([2**62, -(2**62), 2**62 - 1, 1 - 2**62])])
+
+    for _ in range(60):
+        coeffs = [coefficient() for _ in range(rng.randint(0, 16))]
+        coeffs.append(rng.choice([1, -1, 2**70]))
+        for m, xs in cases:
+            xs = np.array(xs, dtype=np.int64)
+            assert eval_mod_array(coeffs, xs, m).tolist() == _exact_horner(coeffs, xs, m).tolist()
+
+
+def test_horner_of_a_polynomial_with_zero_coefficients():
+    # a zero coefficient still grows the bound on the unreduced sum
+    f = cyclotomic(20).coeffs
+    assert 0 in f
+    primes = sieve(2000).primes
+    for p in primes:
+        xs = np.arange(p, dtype=np.int64)
+        assert eval_mod_array(f, xs, int(p)).tolist() == _exact_horner(f, xs, p).tolist()
+    moduli = np.repeat(primes, primes)
+    xs = np.arange(moduli.size) - np.repeat(np.cumsum(primes) - primes, primes)
+    assert np.array_equal(eval_mod_array(f, xs, moduli), _exact_horner(f, xs, moduli))

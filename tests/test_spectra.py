@@ -427,3 +427,44 @@ def test_block_atom_refuses_a_negated_two_variable_equation():
     blk = blockengine._Block(np.array([5, 7]), RingContext(7))
     with pytest.raises(InvariantError, match="no block kernel"):
         blockengine._block_atom(blk, np.arange(2), atom, True, atom.node)
+
+
+def test_blocks_are_sized_by_the_rows_they_build(monkeypatch):
+    passes = []
+    real = blockengine.eval_block
+
+    def counted(plan, primes, ctx):
+        try:
+            return real(plan, primes, ctx)
+        finally:
+            passes.append(ctx.peak_rows)
+
+    monkeypatch.setattr(blockengine, "eval_block", counted)
+    primes = spectra.prime_table(2000).primes
+    chunks = np.array_split(primes, 8)
+    # a congruence builds about a row per prime, so after its first block
+    # the rest of each chunk goes in one pass
+    s = congruence_sentence(1, 12)
+    for chunk in chunks:
+        passes.clear()
+        spectra._eval_chunk((s, chunk, DEFAULT_TUPLE_BUDGET))
+        assert 1 <= len(passes) <= 2
+    # a cyclotomic sentence scans every residue, so its blocks stay in bound
+    c = cyclotomic_sentence(20)
+    passes.clear()
+    spectrum(c, 2000, workers=1)
+    assert len(passes) > 2 and max(passes) <= spectra._BLOCK_ROWS
+    for t in (s, c):
+        bits = spectrum(t, 2000, workers=1)
+        assert bits.bits.tolist() == _prime_by_prime(t, 2000)
+        assert spectrum(t, 2000, workers=2) == bits
+
+
+def test_block_inverse_matches_pow():
+    p = np.array([2, 3, 5, 7, 1999, 4999963, 4999999], dtype=np.int64)
+    blk = blockengine._Block(p, RingContext(int(p.max())))
+    for c in (1, -1, 2, 12, 10**6, 2**70 + 1, -(2**70) - 3):
+        units = [q for q in p.tolist() if c % q]
+        want = [pow(c, -1, q) for q in units]
+        assert blk.inverse(c)[np.isin(p, units)].tolist() == want
+    assert blk.inverse(12) is blk.inverse(12)
