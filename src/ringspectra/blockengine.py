@@ -73,16 +73,11 @@ class _Block:
         return self.p[cols[_LANE]]
 
     def inverse(self, c: int) -> np.ndarray:
-        """c^-1 mod each lane's prime (meaningless where it divides c), once
-        per block: c^(p-2) by square and multiply, products below 2^46."""
+        """c^-1 mod each lane's prime, 0 where it divides c; once per block."""
         if c not in self.inverses:
-            p = self.p
-            out, a, e = np.ones_like(p), reduce_mod(c, p), p - 2
-            while e.any():
-                out = np.where(e & 1, out * a % p, out)
-                a = a * a % p
-                e >>= 1
-            self.inverses[c] = out
+            self.inverses[c] = np.array(
+                [pow(c, -1, q) if c % q else 0 for q in self.p.tolist()], dtype=np.int64
+            )
         return self.inverses[c]
 
 

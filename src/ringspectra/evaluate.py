@@ -54,7 +54,7 @@ class RingContext:
     strict_literals: bool = False
     tuple_budget: int = DEFAULT_TUPLE_BUDGET
     # the largest relation charged against tuple_budget so far
-    peak_rows: int = field(default=0, compare=False, repr=False)
+    peak_rows: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:

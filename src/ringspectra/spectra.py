@@ -156,18 +156,20 @@ def class_spectrum(d: int, residues: Iterable[int], bound: int) -> Spectrum:
     return Spectrum(bound, np.isin(table.primes % d, rs))
 
 
-# the first block of a chunk sums to less than _BLOCK_ROWS, and each later one
-# to less than the previous sum times _BLOCK_ROWS over the largest relation
-# its pass charged: a row per residue keeps sums under 2^15 (as fast as 2^16
-# to 2000, at half the added peak RSS), a row per prime takes the rest at once
+# a chunk's first block sums to less than _BLOCK_ROWS, each later one to the
+# previous sum times _BLOCK_ROWS over the largest relation its pass charged,
+# capped at _BLOCK_MAX: a row per residue keeps sums under 2^15, a row per
+# prime takes 2^21 at once, and a pass that built few rows sends no more
 _BLOCK_ROWS = 1 << 15
+_BLOCK_MAX = 1 << 21
 
 
 def _eval_chunk(args) -> list[bool]:
     """The sentence at each prime of a chunk: a block of primes at a time
     when every node of its plan has a block kernel, else one prime at a
-    time.  A block that runs out of budget is evaluated again prime by
-    prime, so that the error names the prime where it occurs."""
+    time.  A block that runs out of budget is cut again to _BLOCK_ROWS if it
+    was larger, else evaluated prime by prime, so that the error names the
+    prime where it occurs."""
     # imported on first use, so that processes that never sweep do not
     # compile it
     from . import blockengine
@@ -180,22 +182,25 @@ def _eval_chunk(args) -> list[bool]:
     while start < len(primes):
         base = int(ends[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, base + size)))
-        block, start, size = primes[start:stop], stop, _BLOCK_ROWS
+        block = primes[start:stop]
         if plan.block and len(block) > 1:
             ctx = RingContext(int(block[-1]), tuple_budget=tuple_budget)
             try:
                 out.extend(blockengine.eval_block(plan, block, ctx).tolist())
+                start, size = stop, min(_BLOCK_MAX, (
+                    int(ends[stop - 1]) - base) * _BLOCK_ROWS // max(ctx.peak_rows, 1))
                 continue
             except ResourceLimitError:
-                pass
-            finally:
-                size = (int(ends[stop - 1]) - base) * _BLOCK_ROWS // max(ctx.peak_rows, 1)
+                if size > _BLOCK_ROWS:
+                    size = _BLOCK_ROWS
+                    continue
         for p in block:
             try:
                 ctx = RingContext(int(p), tuple_budget=tuple_budget)
                 out.append(fastengine.eval_rel(ctx, plan).nrows > 0)
             except RingSpectraError as exc:
                 raise type(exc)(f"{exc} (at prime {p})") from None
+        start, size = stop, _BLOCK_ROWS
     return out
 
 

@@ -458,6 +458,24 @@ def test_blocks_are_sized_by_the_rows_they_build(monkeypatch):
         bits = spectrum(t, 2000, workers=1)
         assert bits.bits.tolist() == _prime_by_prime(t, 2000)
         assert spectrum(t, 2000, workers=2) == bits
+    # a ground conjunct drops every lane of the first block, whose pass then
+    # charges nothing, and holds at every later prime, where the cubic scans
+    # every residue: the block after it stays within _BLOCK_MAX rows
+    first = [int(p) for p in primes if p < 1000]
+    g = parse_sentence(f"!({math.prod(first)} = 0) & E x. ((x * x) * x) = 2")
+    wide = spectra.prime_table(8000).primes
+    passes.clear()
+    bits = spectra._eval_chunk((g, wide, DEFAULT_TUPLE_BUDGET))
+    assert passes[0] == 0 and max(passes) <= 64 * spectra._BLOCK_ROWS
+    assert bits == _prime_by_prime(g, 8000)
+    # where that block runs out of budget it is cut again, not swept prime
+    # by prime: at most a last prime of the chunk goes alone
+    singles = []
+    real_rel = fastengine.eval_rel
+    monkeypatch.setattr(
+        fastengine, "eval_rel", lambda ctx, p: singles.append(ctx.m) or real_rel(ctx, p)
+    )
+    assert spectra._eval_chunk((g, wide, 200_000)) == bits and len(set(singles)) <= 1
 
 
 def test_block_inverse_matches_pow():
@@ -465,6 +483,6 @@ def test_block_inverse_matches_pow():
     blk = blockengine._Block(p, RingContext(int(p.max())))
     for c in (1, -1, 2, 12, 10**6, 2**70 + 1, -(2**70) - 3):
         units = [q for q in p.tolist() if c % q]
-        want = [pow(c, -1, q) for q in units]
-        assert blk.inverse(c)[np.isin(p, units)].tolist() == want
+        want = [pow(c, -1, q) if c % q else 0 for q in p.tolist()]
+        assert blk.inverse(c).tolist() == want
     assert blk.inverse(12) is blk.inverse(12)
