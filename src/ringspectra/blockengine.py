@@ -1,10 +1,10 @@
 """Evaluation of a sentence at a block of primes in one relational pass.
 
 A sweep over primes (spectra.spectrum) evaluates a run of them together
-when every node of the sentence's plan has a block kernel, which
-fastengine._has_block_kernel decides once per sentence.  Each prime is a
-lane: every block relation carries a lane column, the index of its prime,
-as its first row, and its values in lane i lie in [0, p_i).  Joins, dedup,
+when _KERNELS has a block kernel for the tag (fastengine._tag) of every
+node the pass evaluates (covers).  Each prime is a lane: every block
+relation carries a lane column, the index of its prime, as its first row,
+and its values in lane i lie in [0, p_i).  Joins, dedup,
 projection and grouping are fastengine's own, keyed on the lane as one more
 column, so keys pack base max(p) with the lane as their most significant
 digit; one-variable grids are ragged, arange(p_i) for each lane in turn;
@@ -14,8 +14,8 @@ in the order its prime alone would (fastengine._next_join).  This is
 vectorised execution in the sense of Boncz, Zukowski and Nes,
 "MonetDB/X100: Hyper-Pipelining Query Execution" (CIDR 2005).
 
-Every other plan, and every block that runs out of tuple budget, is
-evaluated one prime at a time by fastengine.eval_rel.
+Every plan that covers refuses, and every block that runs out of tuple
+budget, is evaluated one prime at a time by fastengine.eval_rel.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from .arith import eval_mod_array, reduce_mod
 from .errors import InvariantError
 from .evaluate import RingContext
 from .fastengine import (
-    _ATOMS,
     _SCAN_DISCOUNT,
     Relation,
     _apply_filters,
     _atom_filter,
     _atom_mask,
+    _atom_of,
     _charge,
     _dedup,
     _empty,
@@ -49,7 +49,7 @@ from .fastengine import (
     _snip,
     _univar_coeffs,
 )
-from .logic import And, Equal, Exists, Formula, ModExists, Not, Or
+from .logic import Formula
 
 # the lane column: "" sorts before every variable name, so the lane is the
 # first column of a block relation and the most significant digit of its keys
@@ -138,34 +138,25 @@ def _block_complement(
     return Relation(rel.cols, np.array([lane, cells - start[lane]]))
 
 
-def _block_atom(
-    blk: _Block, lanes: np.ndarray, atom: _Plan, negate: bool, node: Formula
-) -> Relation:
-    f = atom.node
-    if not atom.fv:
-        mask = _atom_mask(blk.p[lanes], f, {}, lanes.size)
-        return _lane_set(lanes[mask != negate])
-    if isinstance(f, Equal) and len(atom.fv) == 1:
-        return _block_univar(blk, lanes, atom, negate, node)
-    if isinstance(f, Equal):
-        if negate:
-            # _has_block_kernel keeps negated two-variable equations off blocks
-            raise InvariantError(f"no block kernel for {_snip(node)}")
-        return _block_linear_const(blk, lanes, atom, node)
-    # any other one-variable atom: a scan of the ragged grid
-    grid = _block_extend(blk, _lane_set(lanes), atom.fv[0], node)
+def _block_scan(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
+    """An atom over at most one variable by a scan of its ragged grid: the
+    lanes themselves for a ground atom."""
+    atom, negate = _atom_of(p)
+    grid = _lane_set(lanes)
+    for var in atom.fv:
+        grid = _block_extend(blk, grid, var, p.node)
     cols = dict(zip(grid.cols, grid.data))
-    mask = _atom_mask(blk.moduli(cols), f, cols, grid.nrows)
+    mask = _atom_mask(blk.moduli(cols), atom.node, cols, grid.nrows)
     return Relation(grid.cols, np.compress(mask != negate, grid.data, axis=1))
 
 
-def _block_univar(
-    blk: _Block, lanes: np.ndarray, atom: _Plan, negate: bool, node: Formula
-) -> Relation:
+def _block_univar(blk: _Block, lanes: np.ndarray, plan: _Plan) -> Relation:
     """A one-variable equation in each lane, by the degree of its polynomial
     mod the lane's prime: the zero polynomial holds at every residue, a
     nonzero constant at none, a linear one at the root -b/a, and one of
     higher degree where Horner over all residues finds it zero."""
+    atom, negate = _atom_of(plan)
+    node = plan.node
     p = blk.p
     coeffs = _lane_coeffs(atom.poly, p)
     deg = np.full(p.size, -1)
@@ -196,11 +187,10 @@ def _block_univar(
     return rel
 
 
-def _block_linear_const(
-    blk: _Block, lanes: np.ndarray, atom: _Plan, node: Formula
-) -> Relation:
+def _block_linear_const(blk: _Block, lanes: np.ndarray, atom: _Plan) -> Relation:
     """Pairs (u, v) with a*v + b(u) = 0 for a constant a: v = -b(u)/a for
     every u and, in lanes whose prime divides a, every v at each root of b."""
+    node = atom.node
     vi, a_poly, b_poly = _linear_pair(atom.poly)
     u, v = atom.fv[1 - vi], atom.fv[vi]
     p = blk.p
@@ -269,12 +259,11 @@ def _block_joins(
     return out
 
 
-def _block_and(
-    blk: _Block, lanes: np.ndarray, steps: tuple, node: Formula, target: tuple[str, ...]
-) -> Relation:
+def _block_and(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
+    node, target = p.node, p.fv
     rels = []
     filters = []
-    for kind, c in steps:
+    for kind, c in p.steps:
         if kind == "ground":
             # lanes where a ground conjunct fails go no further, as primes do
             lanes = lanes[_lane_mask(blk, _block_rel(blk, lanes, c).data[0])[lanes]]
@@ -313,31 +302,10 @@ def _block_or(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
     return Relation((_LANE,) + p.fv, _dedup(data, blk.ctx.m))
 
 
-def _block_rel(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
-    """The relation of a plan at each lane of lanes, over the lane and
-    p.fv; lanes is an increasing array of lane indices."""
-    f = p.node
-    if isinstance(f, _ATOMS):
-        return _block_atom(blk, lanes, p, False, f)
-    if isinstance(f, Not):
-        if isinstance(f.body, _ATOMS):
-            return _block_atom(blk, lanes, p.kids[0], True, f)
-        return _block_complement(blk, lanes, _block_rel(blk, lanes, p.kids[0]), f)
-    if isinstance(f, And):
-        return _block_and(blk, lanes, p.steps, f, p.fv)
-    if isinstance(f, Or):
-        return _block_or(blk, lanes, p)
-    body = p.kids[0]
-    if isinstance(f, Exists) and len(body.fv) == 2 and _linear_body(p) is not None:
-        return _block_linear_exists(blk, lanes, p)
-    rel = _block_rel(blk, lanes, body)
-    if isinstance(f, Exists):
-        return _block_project(blk, rel, f.var)
-    return _block_mod_exists(blk, lanes, rel, f)
-
-
-def _block_project(blk: _Block, rel: Relation, var: str) -> Relation:
-    """E var.: the projection of rel that drops var."""
+def _block_project(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
+    """E var.: the projection of its body's relation that drops var."""
+    rel = _block_rel(blk, lanes, p.kids[0])
+    var = p.node.var
     if var not in rel.cols:
         return rel
     if len(rel.cols) == 2:
@@ -345,11 +313,11 @@ def _block_project(blk: _Block, rel: Relation, var: str) -> Relation:
     return _project(blk.ctx, rel, tuple(c for c in rel.cols if c != var))
 
 
-def _block_mod_exists(
-    blk: _Block, lanes: np.ndarray, rel: Relation, f: ModExists
-) -> Relation:
-    """E[r,q] var. over its body's relation rel: witness counts per lane
-    and group of the other variables."""
+def _block_mod_exists(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
+    """E[r,q] var.: witness counts per lane and group of the other variables
+    in its body's relation."""
+    rel = _block_rel(blk, lanes, p.kids[0])
+    f = p.node
     if rel.cols == (_LANE, f.var):
         counts = np.bincount(rel.data[0], minlength=blk.p.size)
         V0, groups, counts = (_LANE,), np.flatnonzero(counts)[None], counts[counts > 0]
@@ -364,13 +332,47 @@ def _block_mod_exists(
     return _block_complement(blk, lanes, Relation(V0, np.compress(~hit, groups, axis=1)), f)
 
 
+# the block kernel of each tag that has one (fastengine._tag).  A "filter"
+# step of a conjunction is a row mask in both engines and needs no kernel; a
+# "count" step (fastengine._count_filter) has no block kernel.
+_KERNELS = {
+    "ground": _block_scan,
+    "univariate": _block_univar,
+    "linear const": _block_linear_const,
+    "scan": _block_scan,
+    "and": _block_and,
+    "or": _block_or,
+    "complement": lambda blk, lanes, p: _block_complement(
+        blk, lanes, _block_rel(blk, lanes, p.kids[0]), p.node
+    ),
+    "linear exists": _block_linear_exists,
+    "projection": _block_project,
+    "mod count": _block_mod_exists,
+}
+
+
+def _block_rel(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
+    """The relation of a plan at each lane of lanes, over the lane and
+    p.fv; lanes is an increasing array of lane indices."""
+    return _KERNELS[p.tag](blk, lanes, p)
+
+
+def covers(p: _Plan) -> bool:
+    """Whether eval_block can evaluate p: whether p and every node whose
+    relation its kernel evaluates have block kernels.  The linear-exists
+    kernel reads its body's polynomial, not its relation."""
+    if p.tag == "and":
+        return all(kind == "filter" or (kind != "count" and covers(c)) for kind, c in p.steps)
+    return p.tag in _KERNELS and (p.tag == "linear exists" or all(map(covers, p.kids)))
+
+
 def eval_block(plan: _Plan, primes, ctx: RingContext) -> np.ndarray:
     """The truth of a sentence's plan at each of a block of primes, in one
     relational pass: every relation carries a lane column, the index of its
     prime, and joins, dedup, projection and grouping key on the lane as well.
-    The plan must have plan.block set (fastengine._has_block_kernel); ctx,
-    of modulus max(primes), carries the tuple budget and records the pass's
-    largest relation in ctx.peak_rows.
+    The plan must be one that covers accepts; ctx, of modulus max(primes),
+    carries the tuple budget and records the pass's largest relation in
+    ctx.peak_rows.
 
     Lanes are always primes, so a kernel may invert any coefficient that is
     nonzero mod its lane's prime.  Wherever a prime alone would charge the

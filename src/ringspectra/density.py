@@ -63,26 +63,6 @@ def density_function(name: str) -> DensityFunction:
         ) from None
 
 
-def table_density_function(name: str, xs, ys) -> DensityFunction:
-    """User-supplied h as interpolation through sample points."""
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("need at least two (x, y) samples of equal length")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("sample x values must be strictly increasing")
-    if any(b <= a for a, b in zip(ys, ys[1:])):
-        raise ValueError("sample y values must be strictly increasing")
-    lo, hi = xs[0], xs[-1]
-
-    def fn(x: float) -> float:
-        if not lo <= x <= hi:
-            raise ValueError(f"{x} outside table range [{lo}, {hi}]")
-        return float(np.interp(x, xs, ys))
-
-    return DensityFunction(name, fn)
-
-
 @dataclass(frozen=True)
 class IntSequence:
     """A strictly increasing integer sequence, fully materialized.

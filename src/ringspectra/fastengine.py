@@ -19,11 +19,9 @@ the count filter compare assignments by one order-preserving int64 key
 (_keys): base-m digits while they fit, ranks from np.unique beyond; dedup
 and grouping sort the keys and flag adjacent differences.
 
-A sweep over primes evaluates a block of them in one pass
-(blockengine.eval_block) when every node of the plan has a block kernel,
-which _compile records on the plan (_has_block_kernel).  Each prime is then
-a lane, and every block relation carries a lane column, the index of its
-prime, which the joins, dedup and grouping of this module key on.
+_compile also tags every plan node with its strategy (_tag), once per
+sentence, and eval_rel runs the kernel of that tag in _KERNELS.  A sweep
+over primes looks the same tags up in blockengine's table of block kernels.
 
 Every materialization is charged against the context's tuple budget and
 raises ResourceLimitError naming the subformula when it would exceed it.
@@ -38,7 +36,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -374,8 +372,21 @@ def _atom_mask(m, atom: Formula, cols: dict, n: int) -> np.ndarray:
 # atom relations
 
 
-def _grid_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
+def _atom_of(p: _Plan) -> tuple[_Plan, bool]:
+    """The atom an atom kernel solves for p, and whether negated: p, the body
+    of a Not, or a counting quantifier's count = 0.  Errors name p.node."""
+    return (p.kids[-1] if p.kids else p), isinstance(p.node, Not)
+
+
+def _ground_rel(ctx: RingContext, p: _Plan) -> Relation:
+    atom, negate = _atom_of(p)
+    return _bool_rel(bool(_atom_mask(ctx.m, atom.node, {}, 1)[0]) != negate)
+
+
+def _grid_rel(ctx: RingContext, p: _Plan) -> Relation:
     """Scan the full assignment grid of the atom's free variables."""
+    atom, negate = _atom_of(p)
+    node = p.node
     fvs = atom.fv
     k = len(fvs)
     m = ctx.m
@@ -414,45 +425,48 @@ def _linear_solutions(a: int, rhs: np.ndarray, m: int):
     return mask, base, mg, g
 
 
-def _equal_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
+def _univar_rel(ctx: RingContext, p: _Plan) -> Relation:
+    """A one-variable equation, by the degree of its polynomial mod m."""
+    atom, negate = _atom_of(p)
     m = ctx.m
-    fvs = atom.fv
-    k = len(fvs)
-    poly = _poly_mod(atom.poly, m)
-    if k == 1:
-        coeffs = _univar_coeffs(poly)
-        if not coeffs:
-            hits = np.arange(m, dtype=np.int64)
-        elif len(coeffs) == 1:
+    node = p.node
+    coeffs = _univar_coeffs(_poly_mod(atom.poly, m))
+    if not coeffs:
+        hits = np.arange(m, dtype=np.int64)
+    elif len(coeffs) == 1:
+        hits = np.zeros(0, dtype=np.int64)
+    elif len(coeffs) == 2:
+        b, a = coeffs
+        mask, base, step, g = _linear_solutions(a, np.array([(-b) % m]), m)
+        if mask[0]:
+            hits = base[0] + np.arange(g, dtype=np.int64) * step
+            hits.sort()
+        else:
             hits = np.zeros(0, dtype=np.int64)
-        elif len(coeffs) == 2:
-            b, a = coeffs
-            mask, base, step, g = _linear_solutions(a, np.array([(-b) % m]), m)
-            if mask[0]:
-                hits = base[0] + np.arange(g, dtype=np.int64) * step
-                hits.sort()
-            else:
-                hits = np.zeros(0, dtype=np.int64)
-        else:
-            _charge(ctx, m // _SCAN_DISCOUNT + 1, node)
-            values = eval_mod_array(coeffs, np.arange(m, dtype=np.int64), m)
-            hits = np.flatnonzero(values == 0)
-        if negate:
-            keep = np.ones(m, dtype=bool)
-            keep[hits] = False
-            _charge(ctx, m, node)
-            rows = np.arange(m, dtype=np.int64)[keep]
-        else:
-            _charge(ctx, len(hits), node)
-            rows = hits
-        return Relation(fvs, rows.reshape(1, -1))
-    if k == 2 and not negate:
-        split = _linear_pair(poly)
-        if split is not None:
-            vi, a_poly, b_poly = split
-            rel = _linear_const_rel if a_poly.keys() == {(0,)} else _linear_var_rel
-            return rel(ctx, a_poly, b_poly, fvs[1 - vi], fvs[vi], node)
-    return _grid_rel(ctx, atom, negate, node)
+    else:
+        _charge(ctx, m // _SCAN_DISCOUNT + 1, node)
+        values = eval_mod_array(coeffs, np.arange(m, dtype=np.int64), m)
+        hits = np.flatnonzero(values == 0)
+    if negate:
+        keep = np.ones(m, dtype=bool)
+        keep[hits] = False
+        _charge(ctx, m, node)
+        rows = np.arange(m, dtype=np.int64)[keep]
+    else:
+        _charge(ctx, len(hits), node)
+        rows = hits
+    return Relation(atom.fv, rows.reshape(1, -1))
+
+
+def _pair_rel(ctx: RingContext, p: _Plan) -> Relation:
+    """A two-variable equation, by _linear_pair of its polynomial mod m."""
+    atom, _ = _atom_of(p)
+    split = _linear_pair(_poly_mod(atom.poly, ctx.m))
+    if split is None:
+        return _grid_rel(ctx, p)
+    vi, a_poly, b_poly = split
+    rel = _linear_const_rel if a_poly.keys() == {(0,)} else _linear_var_rel
+    return rel(ctx, a_poly, b_poly, atom.fv[1 - vi], atom.fv[vi], p.node)
 
 
 def _split_linear(poly: dict, vi: int):
@@ -562,15 +576,10 @@ def _times_table(ctx: RingContext, m: int, node: Formula) -> np.ndarray:
     return _TIMES_TABLE["rows"]
 
 
-def _times_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
+def _times_rel(ctx: RingContext, p: _Plan) -> Relation:
     m = ctx.m
-    slots = (atom.node.x, atom.node.y, atom.node.z)
-    names = {s.name for s in slots if isinstance(s, Var)}
-    if negate or len(names) == 1 or not all(isinstance(s, (Var, Lit)) for s in slots):
-        return _grid_rel(ctx, atom, negate, node)
-    if len(names) == 2:
-        vals = [s.value % m if isinstance(s, Lit) else None for s in slots]
-        return _times_two_var(ctx, slots, vals, node)
+    node = p.node
+    slots = (node.x, node.y, node.z)
     table = _times_table(ctx, m, node).T
     n = table.shape[1]
     _charge(ctx, n + 2 * m, node)
@@ -586,9 +595,11 @@ def _times_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Re
     return Relation(tuple(sorted(names)), data)
 
 
-def _times_two_var(ctx, slots, vals, node) -> Relation:
+def _times_two_var(ctx: RingContext, p: _Plan) -> Relation:
     m = ctx.m
-    sx, sy, sz = slots
+    node = p.node
+    sx, sy, sz = slots = (node.x, node.y, node.z)
+    vals = [s.value % m if isinstance(s, Lit) else None for s in slots]
     if vals[2] is not None:
         c = vals[2]
         if c == 0:
@@ -643,16 +654,6 @@ def _times_two_var(ctx, slots, vals, node) -> Relation:
     return Relation(rel.cols, _dedup(rel.data, m))
 
 
-def _atom_rel(ctx: RingContext, atom: _Plan, negate: bool, node: Formula) -> Relation:
-    if not atom.fv:
-        return _bool_rel(bool(_atom_mask(ctx.m, atom.node, {}, 1)[0]) != negate)
-    if isinstance(atom.node, Equal):
-        return _equal_rel(ctx, atom, negate, node)
-    if isinstance(atom.node, Less):
-        return _grid_rel(ctx, atom, negate, node)
-    return _times_rel(ctx, atom, negate, node)
-
-
 # ---------------------------------------------------------------------------
 # filters
 
@@ -666,8 +667,7 @@ class _Filter:
 def _atom_filter(conj: _Plan, moduli: Callable[[dict], int | np.ndarray]) -> _Filter:
     """Filter form of an atom or a negated atom; moduli(cols) is the
     modulus, or the modulus of each row."""
-    negate = isinstance(conj.node, Not)
-    atom = conj.kids[0] if negate else conj
+    atom, negate = _atom_of(conj)
 
     def fn(cols: dict) -> np.ndarray:
         n = len(next(iter(cols.values())))
@@ -700,16 +700,21 @@ def _count_filter(ctx: RingContext, notq: _Plan) -> _Filter:
             gkeys, keys = _keys(m, groups, [cols[c] for c in V0])[0]
             idx = np.minimum(np.searchsorted(gkeys, keys), gkeys.size - 1)
             cnt = np.where(gkeys[idx] == keys, counts[idx], 0)
-        if isinstance(q, Exists):
-            return cnt == 0
-        if isinstance(q, ModExists):
-            return cnt % q.modulus != q.residue
-        if isinstance(q, Majority):
-            return 2 * cnt <= m
-        tv = _eval_term_cols(m, q.count, cols)
-        return cnt < tv
+        return ~_holds(q, cnt, m, cols)
 
     return _Filter(frozenset(notq.fv), fn)
+
+
+def _holds(q: Formula, cnt: np.ndarray, m: int, cols: dict) -> np.ndarray:
+    """Whether a quantifier holds at each row of cols, given its witness
+    counts there."""
+    if isinstance(q, Exists):
+        return cnt > 0
+    if isinstance(q, ModExists):
+        return cnt % q.modulus == q.residue
+    if isinstance(q, Majority):
+        return 2 * cnt > m
+    return cnt >= _eval_term_cols(m, q.count, cols)
 
 
 def _apply_filters(ctx: RingContext, cur: Relation, filters: list[_Filter]) -> Relation:
@@ -746,18 +751,18 @@ class _Plan:
     kids: tuple[_Plan, ...] = ()
     poly: dict | None = None
     # decided here, once per sentence: how _eval_and takes the conjuncts of
-    # an And (_steps); the shape _try_rank counts a quantifier by, or None;
-    # and whether every node from here down has a block kernel
+    # an And (_steps); the shape _rank_rel counts a quantifier by, or None;
+    # and the strategy (_tag), the key of its kernel in each engine's table
     steps: tuple = ()
     rank: tuple | None = None
-    block: bool = False
+    tag: str = field(init=False)
 
     def __post_init__(self):
         if isinstance(self.node, And):
             self.steps = _steps(self.kids)
         elif isinstance(self.node, _QUANTIFIERS):
             self.rank = _rank_shape(self)
-        self.block = _has_block_kernel(self)
+        self.tag = _tag(self)
 
 
 _QUANTIFIERS = (Exists, ModExists, Majority, CountGE)
@@ -769,7 +774,7 @@ def _steps(conjuncts: Sequence[_Plan]) -> tuple:
     "filter" is an atom or a negated atom tested on the rows of the
     relations; a "count" is a negated quantifier tested by _count_filter; a
     "relation" is evaluated and joined, and the order of the relations
-    breaks ties in the join order (_next_join).  Equations over three or
+    breaks ties in the join order (_next_join).  Grid scans over three or
     more variables and negated quantifiers wait for the relations before
     them, and become filters when those cover their variables."""
     steps: list = []
@@ -781,15 +786,7 @@ def _steps(conjuncts: Sequence[_Plan]) -> tuple:
             steps.append(("ground", c))
         elif isinstance(f, Less) or (isinstance(f, Not) and isinstance(f.body, _ATOMS)):
             steps.append(("filter", c))
-        elif (
-            isinstance(f, Not)
-            or (isinstance(f, Equal) and len(c.fv) >= 3)
-            or (
-                isinstance(f, IntTimes)
-                and len(c.fv) >= 3
-                and not all(isinstance(s, (Var, Lit)) for s in (f.x, f.y, f.z))
-            )
-        ):
+        elif isinstance(f, Not) or (c.tag == "grid scan" and len(c.fv) >= 3):
             deferred.append(c)
         else:
             steps.append(("relation", c))
@@ -806,7 +803,7 @@ def _steps(conjuncts: Sequence[_Plan]) -> tuple:
 def _rank_shape(p: _Plan) -> tuple | None:
     """For a quantifier over v whose body is (v <cmp> u) AND conjuncts over
     v alone: (the comparison, u, the _steps of the other conjuncts), which
-    _try_rank counts by; else None."""
+    _rank_rel counts by; else None."""
     node = p.node
     v = node.var
     body = p.kids[0]
@@ -836,30 +833,40 @@ def _rank_shape(p: _Plan) -> tuple | None:
     return cmp_atom, u, _steps(others)
 
 
-def _has_block_kernel(p: _Plan) -> bool:
-    """Whether blockengine.eval_block can evaluate p: whether, for every node
-    from p down, the strategy the per-prime engine takes has a block kernel
-    (blockengine._block_rel)."""
+def _tag(p: _Plan) -> str:
+    """The strategy of a plan node, from its shape alone.  Where m still
+    decides it, for two-variable equations and for E, one kernel decides at
+    each modulus (_pair_rel, _exists_rel), and the tags tell apart what has
+    a block kernel.  So does arity: "scan" and "complement" are over at
+    most one variable, and "mod count" is E[r,q] with r != 0 or over one."""
     f = p.node
     k = len(p.fv)
-    if isinstance(f, _ATOMS) or (isinstance(f, Not) and isinstance(f.body, _ATOMS)):
-        if k <= 1:
-            return True
-        split = _linear_pair(p.poly) if isinstance(f, Equal) and k == 2 else None
-        return split is not None and split[1].keys() == {(0,)}
-    if isinstance(f, Not):
-        return k <= 1 and p.kids[0].block
-    if isinstance(f, And):
-        return all(kind == "filter" or (kind != "count" and c.block) for kind, c in p.steps)
-    if isinstance(f, Or):
-        return all(c.block for c in p.kids)
+    negate = isinstance(f, Not)
+    atom = f.body if negate else f
+    if isinstance(atom, _ATOMS):
+        if k == 0:
+            return "ground"
+        if isinstance(atom, Equal) and k == 1:
+            return "univariate"
+        if isinstance(atom, Equal) and k == 2 and not negate:
+            split = _linear_pair(p.poly)
+            return "linear const" if split and split[1].keys() == {(0,)} else "pair"
+        if isinstance(atom, IntTimes) and k >= 2 and not negate:
+            if all(isinstance(s, (Var, Lit)) for s in (atom.x, atom.y, atom.z)):
+                return "times pair" if k == 2 else "times table"
+        return "scan" if k == 1 else "grid scan"
+    if negate:
+        return "complement" if k <= 1 else "wide complement"
+    if isinstance(f, (And, Or)):
+        return "and" if isinstance(f, And) else "or"
     if p.rank is not None:
-        return False
+        return "rank"
     if isinstance(f, Exists):
-        return (_linear_body(p) is not None and len(p.kids[0].fv) == 2) or p.kids[0].block
+        linear = len(p.kids[0].fv) == 2 and _linear_body(p) is not None
+        return "linear exists" if linear else "projection"
     if isinstance(f, ModExists):
-        return p.kids[0].block and (f.residue != 0 or k <= 1)
-    return False
+        return "mod count" if f.residue != 0 or k <= 1 else "wide zero count"
+    return "majority" if isinstance(f, Majority) else "count ge"
 
 
 def _union(*names: Iterable[str]) -> tuple[str, ...]:
@@ -1036,11 +1043,9 @@ def _eval_or(ctx: RingContext, p: _Plan) -> Relation:
 # quantifiers
 
 
-def _try_rank(ctx: RingContext, p: _Plan) -> Relation | None:
+def _rank_rel(ctx: RingContext, p: _Plan) -> Relation:
     """Bodies of shape (v <cmp> u) AND unary-in-v constraints: per-u witness
     counts come from the rank of u in the sorted unary witness set."""
-    if p.rank is None:
-        return None
     cmp_atom, u, steps = p.rank
     node = p.node
     v = node.var
@@ -1049,28 +1054,12 @@ def _try_rank(ctx: RingContext, p: _Plan) -> Relation | None:
     witnesses = np.sort(sub.data[0])
     v_below = cmp_atom.left.name == v
     _charge(ctx, m, node)
-    if isinstance(node, Exists):
-        if witnesses.size == 0:
-            return _empty((u,))
-        if v_below:
-            lo = int(witnesses[0]) + 1
-            rows = np.arange(lo, m, dtype=np.int64)
-        else:
-            rows = np.arange(0, int(witnesses[-1]), dtype=np.int64)
-        return Relation((u,), rows.reshape(1, -1))
     grid = np.arange(m, dtype=np.int64)
     if v_below:
         cnt = np.searchsorted(witnesses, grid, side="left")
     else:
         cnt = witnesses.size - np.searchsorted(witnesses, grid, side="right")
-    if isinstance(node, ModExists):
-        mask = cnt % node.modulus == node.residue
-    elif isinstance(node, Majority):
-        mask = 2 * cnt > m
-    else:
-        tv = _eval_term_cols(m, node.count, {u: grid})
-        mask = cnt >= tv
-    return Relation((u,), grid[mask].reshape(1, -1))
+    return Relation((u,), grid[_holds(node, cnt, m, {u: grid})].reshape(1, -1))
 
 
 def _linear_body(p: _Plan, m: int | None = None):
@@ -1084,16 +1073,17 @@ def _linear_body(p: _Plan, m: int | None = None):
     return _split_linear(poly, body.fv.index(p.node.var))
 
 
-def _try_linear_exists(ctx: RingContext, p: _Plan) -> Relation | None:
-    """Exists v over a single linear-in-v equation: solvability is a gcd
-    divisibility test, vectorized over the remaining variable."""
+def _exists_rel(ctx: RingContext, p: _Plan) -> Relation:
+    """E v.: a gcd divisibility test over an equation in v and at most one
+    other variable that is linear in v mod m, else the body's projection."""
     m = ctx.m
+    v = p.node.var
     split = _linear_body(p, m)
     if split is None:
-        return None
+        body = eval_rel(ctx, p.kids[0])
+        return _project(ctx, body, tuple(c for c in body.cols if c != v))
     a_poly, b_poly = split
     fvs = p.kids[0].fv
-    v = p.node.var
     if len(fvs) == 1:
         a = sum(c for c in a_poly.values()) % m
         b = sum(c for c in b_poly.values()) % m
@@ -1108,36 +1098,24 @@ def _try_linear_exists(ctx: RingContext, p: _Plan) -> Relation | None:
     return Relation((u,), grid[mask].reshape(1, -1))
 
 
-def _eval_quant(ctx: RingContext, p: _Plan) -> Relation:
+def _mod_count_rel(ctx: RingContext, p: _Plan) -> Relation:
     node = p.node
-    m = ctx.m
-    v = node.var
-    rank = _try_rank(ctx, p)
-    if rank is not None:
-        return rank
-    if isinstance(node, Exists):
-        short = _try_linear_exists(ctx, p)
-        if short is not None:
-            return short
-    body = eval_rel(ctx, p.kids[0])
-    if isinstance(node, Exists):
-        if v not in body.cols:
-            return body
-        return _project(ctx, body, tuple(c for c in body.cols if c != v))
-    V0, groups, counts = _group_drop(ctx, body, v)
-    if isinstance(node, ModExists):
-        hit = counts % node.modulus == node.residue
-        if node.residue != 0:
-            return Relation(V0, np.compress(hit, groups, axis=1))
-        return _complement(ctx, Relation(V0, np.compress(~hit, groups, axis=1)), node)
-    if isinstance(node, Majority):
-        return Relation(V0, np.compress(2 * counts > m, groups, axis=1))
-    return _eval_count_ge(ctx, p, V0, groups, counts)
+    V0, groups, counts = _group_drop(ctx, eval_rel(ctx, p.kids[0]), node.var)
+    hit = counts % node.modulus == node.residue
+    if node.residue != 0:
+        return Relation(V0, np.compress(hit, groups, axis=1))
+    return _complement(ctx, Relation(V0, np.compress(~hit, groups, axis=1)), node)
 
 
-def _eval_count_ge(ctx: RingContext, p: _Plan, V0, groups, counts) -> Relation:
+def _majority_rel(ctx: RingContext, p: _Plan) -> Relation:
+    V0, groups, counts = _group_drop(ctx, eval_rel(ctx, p.kids[0]), p.node.var)
+    return Relation(V0, np.compress(2 * counts > ctx.m, groups, axis=1))
+
+
+def _count_ge_rel(ctx: RingContext, p: _Plan) -> Relation:
     node = p.node
     m = ctx.m
+    V0, groups, counts = _group_drop(ctx, eval_rel(ctx, p.kids[0]), node.var)
     t = node.count
     zero = p.kids[1]
     tf = zero.fv
@@ -1149,7 +1127,8 @@ def _eval_count_ge(ctx: RingContext, p: _Plan, V0, groups, counts) -> Relation:
     if set(tf) <= set(V0):
         tv = _eval_term_cols(m, t, dict(zip(V0, groups)))
         present_pass = np.compress(counts >= tv, groups, axis=1)
-        zero_rel = _atom_rel(ctx, zero, False, node)
+        # the kernel of count = 0, given p so that its errors name p (_atom_of)
+        zero_rel = _KERNELS[zero.tag](ctx, p)
         zero_full = _extend_to(ctx, zero_rel, V0, node)
         zero_full = _project(ctx, zero_full, V0)
         absent = _anti_join(ctx, zero_full, Relation(V0, groups))
@@ -1204,20 +1183,37 @@ def _count_ge_overlap(ctx, p: _Plan, V0, groups, counts) -> Relation:
 # dispatch and public API
 
 
+def _not_rel(ctx: RingContext, p: _Plan) -> Relation:
+    return _complement(ctx, eval_rel(ctx, p.kids[0]), p.node)
+
+
+# the kernel of each tag (_tag)
+_KERNELS: dict[str, Callable[[RingContext, _Plan], Relation]] = {
+    "ground": _ground_rel,
+    "univariate": _univar_rel,
+    "linear const": _pair_rel,
+    "pair": _pair_rel,
+    "scan": _grid_rel,
+    "grid scan": _grid_rel,
+    "times pair": _times_two_var,
+    "times table": _times_rel,
+    "and": lambda ctx, p: _eval_and(ctx, p.steps, p.node, p.fv),
+    "or": _eval_or,
+    "complement": _not_rel,
+    "wide complement": _not_rel,
+    "rank": _rank_rel,
+    "linear exists": _exists_rel,
+    "projection": _exists_rel,
+    "mod count": _mod_count_rel,
+    "wide zero count": _mod_count_rel,
+    "majority": _majority_rel,
+    "count ge": _count_ge_rel,
+}
+
+
 def eval_rel(ctx: RingContext, p: _Plan) -> Relation:
     """Evaluate a plan to its satisfying-assignment relation."""
-    f = p.node
-    if isinstance(f, _ATOMS):
-        return _atom_rel(ctx, p, False, f)
-    if isinstance(f, Not):
-        if isinstance(f.body, _ATOMS):
-            return _atom_rel(ctx, p.kids[0], True, f)
-        return _complement(ctx, eval_rel(ctx, p.kids[0]), f)
-    if isinstance(f, And):
-        return _eval_and(ctx, p.steps, f, p.fv)
-    if isinstance(f, Or):
-        return _eval_or(ctx, p)
-    return _eval_quant(ctx, p)
+    return _KERNELS[p.tag](ctx, p)
 
 
 def _run(ctx: RingContext, formula: Formula) -> Relation:

@@ -166,16 +166,18 @@ _BLOCK_MAX = 1 << 21
 
 def _eval_chunk(args) -> list[bool]:
     """The sentence at each prime of a chunk: a block of primes at a time
-    when every node of its plan has a block kernel, else one prime at a
-    time.  A block that runs out of budget is cut again to _BLOCK_ROWS if it
-    was larger, else evaluated prime by prime, so that the error names the
-    prime where it occurs."""
+    when blockengine.covers its plan, that is, when its table has a block
+    kernel for the tag of every node the pass evaluates, else one prime at
+    a time.  A block that runs out of budget is cut again to _BLOCK_ROWS if
+    it was larger, else evaluated prime by prime, so that the error names
+    the prime where it occurs."""
     # imported on first use, so that processes that never sweep do not
     # compile it
     from . import blockengine
 
     sentence, primes, tuple_budget = args
     plan, _ = fastengine._plan(sentence)
+    covered = blockengine.covers(plan)
     ends = np.cumsum(primes)
     out: list[bool] = []
     start, size = 0, _BLOCK_ROWS
@@ -183,7 +185,7 @@ def _eval_chunk(args) -> list[bool]:
         base = int(ends[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, base + size)))
         block = primes[start:stop]
-        if plan.block and len(block) > 1:
+        if covered and len(block) > 1:
             ctx = RingContext(int(block[-1]), tuple_budget=tuple_budget)
             try:
                 out.extend(blockengine.eval_block(plan, block, ctx).tolist())

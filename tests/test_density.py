@@ -25,7 +25,6 @@ from ringspectra.density import (
     pnt_log_thin_surrogate,
     semi_additive_check,
     sequence_from_spec,
-    table_density_function,
 )
 from ringspectra.errors import DegenerateInputError, ResourceLimitError
 from ringspectra.spectra import Spectrum, class_spectrum, from_members
@@ -44,18 +43,6 @@ def test_density_function_lookup():
         density_function("sqrt")
     with pytest.raises(DegenerateInputError):
         LOGLOG(1.0)  # log(log(1)) = log(0)
-
-
-def test_table_density_function():
-    h = table_density_function("steps", [1, 10, 100], [0, 5, 20])
-    assert h(10) == 5.0
-    assert h(55) == 12.5
-    with pytest.raises(DegenerateInputError):
-        h(1000)  # beyond the table
-    with pytest.raises(ValueError):
-        table_density_function("bad", [1, 1], [0, 2])
-    with pytest.raises(ValueError):
-        table_density_function("bad", [1, 2], [3, 3])
 
 
 def test_sequence_construction():

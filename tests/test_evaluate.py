@@ -19,8 +19,10 @@ from ringspectra.errors import (
 from ringspectra.evaluate import RingContext, eval_naive, eval_sentence, naive_rows
 from ringspectra.fastengine import eval_fast, eval_fast_bool
 from ringspectra.logic import (
+    CountGE,
     Equal,
     Exists,
+    Majority,
     Var,
     count_exact,
     formula_to_text,
@@ -294,18 +296,23 @@ def test_modulus_validation():
 
 
 def _counting(monkeypatch, module, name):
-    """Replace module.name by a wrapper that counts the calls that return a
-    result; a _try_ strategy returns None when it does not apply."""
+    """Replace module.name, or the kernel of the tag name in the engine's
+    table, by a wrapper that records the arguments of each call.  A function
+    that is also a table entry is replaced there too, since eval_rel calls
+    it through the table."""
     calls = []
-    original = getattr(module, name)
+    table = fastengine._KERNELS
+    original = table[name] if name in table else getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        out = original(*args, **kwargs)
-        if out is not None:
-            calls.append(args)
-        return out
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, wrapper)
+    if name not in table:
+        monkeypatch.setattr(module, name, wrapper)
+    for tag, kernel in table.items():
+        if tag == name or (name not in table and kernel is original):
+            monkeypatch.setitem(table, tag, wrapper)
     return calls
 
 
@@ -352,11 +359,11 @@ def test_linear_var_rel_agrees_with_the_reference(monkeypatch):
 @pytest.mark.parametrize(
     "strategy, text, pattern",
     [
-        ("_try_rank", "E u. ((E[1,3] v. ((v < u) & (E y. ((y * y) = v)))) & (u < 4))",
+        ("rank", "E u. ((E[1,3] v. ((v < u) & (E y. ((y * y) = v)))) & (u < 4))",
          "FFFFTTTTTTTT"),
         ("_count_filter", "E x. ((E z. ((z * z) = x)) & !(E[0,2] y. ((y * y) = x)))",
          "TTTFTTTFTTTF"),
-        ("_try_linear_exists", "A x. (!(x = 0) -> E y. ((x * y) = 1))", "TTTFTFTFFFTF"),
+        ("linear exists", "A x. (!(x = 0) -> E y. ((x * y) = 1))", "TTTFTFTFFFTF"),
         ("_linear_const_rel", "E x. E y. ((((2 * y) + x) = 3) & (x < y))", "FFFTTTTTTTTT"),
         # one sentence for each slot shape of a two-name TIMES atom
         ("_times_two_var", "E x. E y. (TIMES(x, y, 6) & (x < y))", "FTTTFTTTTTTT"),
@@ -373,6 +380,31 @@ def test_fast_path_agrees_with_the_reference(monkeypatch, strategy, text, patter
     got = [eval_sentence(s, m, engine="both") for m in range(1, 13)]
     assert "".join("T" if g else "F" for g in got) == pattern
     assert calls
+
+
+@pytest.mark.parametrize(
+    "strategy, text, cls, below",
+    [
+        ("rank", "E u. ((E v. ((v < u) & ((v * v) = 2))) & (u < 8))", Exists, True),
+        ("rank", "E u. ((E v. ((u < v) & ((v * v) = 4))) & (1 < u))", Exists, False),
+        ("rank", "E u. ((M v. ((v < u) & ((v * v) = v))) & (1 < u))", Majority, True),
+        ("rank", "E u. ((C>=(u + 1) v. ((u < v) & (E y. ((y * y) = v)))) & (1 < u))",
+         CountGE, False),
+        # the count filter's majority test
+        ("_count_filter", "E x. (((x * x) = 2) & !(M y. (y < x)))", Majority, None),
+    ],
+)
+def test_kernel_branches_agree_with_the_reference(monkeypatch, strategy, text, cls, below):
+    s = parse_sentence(text)
+    calls = _counting(monkeypatch, fastengine, strategy)
+    got = [eval_sentence(s, m, engine="both") for m in range(1, 31)]
+    assert True in got and False in got
+    # the quantifier of each call, and for a rank count whether v is below u
+    quants = [p.kids[0] if strategy == "_count_filter" else p for ctx, p in calls]
+    assert any(
+        isinstance(q.node, cls) and (below is None or (q.rank[0].left.name == q.node.var) == below)
+        for q in quants
+    )
 
 
 def test_count_filter_finds_the_groups_of_a_body_without_its_variable(monkeypatch):
@@ -411,12 +443,12 @@ def test_univariate_equation_is_solved_by_horner(monkeypatch, text, pattern, neg
     s = parse_sentence(text)
     horner = _counting(monkeypatch, fastengine, "eval_mod_array")
     grid = _counting(monkeypatch, fastengine, "_grid_rel")
-    equal = _counting(monkeypatch, fastengine, "_equal_rel")
+    univariate = _counting(monkeypatch, fastengine, "univariate")
     got = [eval_sentence(s, m, engine="both") for m in range(1, 13)]
     assert "".join("T" if g else "F" for g in got) == pattern
     assert any(len(args[0]) >= 3 for args in horner)
     assert not grid
-    assert {args[2] for args in equal} == negations
+    assert {fastengine._atom_of(p)[1] for ctx, p in univariate} == negations
 
 
 @pytest.mark.parametrize(
@@ -518,8 +550,12 @@ def test_small_chunks_and_pack_limit_keep_every_relation(monkeypatch):
             return real(ctx, arg, *rest)
 
         monkeypatch.setattr(fastengine, name, wrapper)
+        # eval_rel calls the kernels of its table
+        for tag, kernel in fastengine._KERNELS.items():
+            if kernel is real:
+                monkeypatch.setitem(fastengine._KERNELS, tag, wrapper)
 
-    count_chunked("_grid_rel", lambda atom: len(atom.fv))
+    count_chunked("_grid_rel", lambda p: len(fastengine._atom_of(p)[0].fv))
     count_chunked("_complement", lambda rel: len(rel.cols))
     wide = set()  # the functions that asked _keys for wide keys
     real_unique = np.unique
@@ -585,7 +621,9 @@ def test_rank_keeps_counting_below_u_under_budget(monkeypatch):
         "E u. ((E[0,2] v. ((v < u) & (E y. ((y * y) = v)))) & (E y. ((y * y) = u)))"
     )
     assert eval_sentence(s, 10007) is True
-    monkeypatch.setattr(fastengine, "_try_rank", lambda ctx, p: None)
+    # without the rank count, E[0,2] v. over one free variable is a mod count
+    assert fastengine._plan(s)[0].kids[0].kids[0].tag == "rank"
+    monkeypatch.setitem(fastengine._KERNELS, "rank", fastengine._KERNELS["mod count"])
     with pytest.raises(ResourceLimitError):
         eval_sentence(s, 10007)
 

@@ -12,12 +12,11 @@ from ringspectra.arith import IntPolynomial, cyclotomic, poly_roots_mod, sieve
 from ringspectra.constructions import FAMILIES, congruence_sentence, cyclotomic_sentence
 from ringspectra.errors import (
     DegenerateInputError,
-    InvariantError,
     ResourceLimitError,
     RingSpectraError,
 )
 from ringspectra.evaluate import DEFAULT_TUPLE_BUDGET, RingContext
-from ringspectra.logic import Equal, formula_to_text, parse_sentence, random_sentence
+from ringspectra.logic import formula_to_text, parse_sentence, random_sentence
 from ringspectra.spectra import (
     CongruenceClass,
     Spectrum,
@@ -307,8 +306,8 @@ SWEEP_SENTENCES = [
     FAMILIES["modcount"].build(r=1, q=4),
 ]
 
-FAMILY_SENTENCES = [
-    FAMILIES[name].build(**params)
+FAMILY_SENTENCES = {
+    name: FAMILIES[name].build(**params)
     for name, params in {
         "congruence": {"a": 2, "d": 5},
         "cyclotomic": {"n": 12},
@@ -318,7 +317,17 @@ FAMILY_SENTENCES = [
         "theta": {"q": 3},
         "prime": {},
     }.items()
-]
+}
+
+
+def _corpus(n):
+    """The first n sentences of claim 12's corpus."""
+    rng = random.Random(verify.ENGINE_FUZZ_SEED)
+    return [random_sentence(rng, max_depth=5) for _ in range(n)]
+
+
+def _covered(s):
+    return blockengine.covers(fastengine._plan(s)[0])
 
 
 def _prime_by_prime(s, bound, tuple_budget=DEFAULT_TUPLE_BUDGET):
@@ -342,15 +351,36 @@ def _spectrum_outcome(s, bound, tuple_budget=None):
         return str(exc)
 
 
+def test_every_tag_has_a_kernel_and_the_block_path_keeps_its_sentences():
+    corpus = _corpus(500)
+    tags = set()
+
+    def walk(p):
+        tags.add(p.tag)
+        for c in p.kids:
+            walk(c)
+
+    for s in corpus + list(FAMILY_SENTENCES.values()):
+        walk(fastengine._plan(s)[0])
+    assert tags <= set(fastengine._KERNELS)
+    assert set(blockengine._KERNELS) <= set(fastengine._KERNELS)
+    covered = [_covered(s) for s in corpus]
+    assert sum(covered[:100]) == 54 and sum(covered) == 247
+    assert [name for name, s in FAMILY_SENTENCES.items() if _covered(s)] == [
+        "congruence", "cyclotomic", "modcount", "powres", "prime"
+    ]
+
+
 def test_block_path_matches_prime_by_prime(monkeypatch):
     # claim 12's corpus: the sentences that take the block path; the others
     # run the prime-by-prime loop in spectrum itself
-    rng = random.Random(verify.ENGINE_FUZZ_SEED)
-    corpus = [random_sentence(rng, max_depth=5) for _ in range(100)]
-    blocked = [s for s in corpus if fastengine._plan(s)[0].block]
-    assert len(blocked) >= 50
-    assert not fastengine._plan(FAMILIES["psi"].build(q=3))[0].block
+    blocked = [s for s in _corpus(100) if _covered(s)]
     fired = set()
+    for tag, kernel in blockengine._KERNELS.items():
+        monkeypatch.setitem(
+            blockengine._KERNELS, tag, lambda *args, tag=tag, kernel=kernel: (
+                fired.add(tag) or kernel(*args))
+        )
 
     def watch(name, kinds, module=blockengine):
         real = getattr(module, name)
@@ -362,12 +392,10 @@ def test_block_path_matches_prime_by_prime(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    def atom_kinds(caller, out, blk, lanes, atom, negate, node):
-        if not atom.fv:
-            return ["ground atom"]
-        return ["grid scan"] if not isinstance(atom.node, Equal) else []
-
     def degree_kinds(caller, coeffs, poly, p):
+        if caller == "_block_linear_exists":
+            # a lane where every coefficient of a(u) vanishes
+            return ["a vanishes"] if not np.all(np.any(coeffs, axis=0)) else []
         if caller != "_block_univar":
             return []
         deg = np.full(p.size, -1)
@@ -375,18 +403,17 @@ def test_block_path_matches_prime_by_prime(monkeypatch):
             deg[c != 0] = e
         return [("all", "none", "linear")[d + 1] if d < 2 else "horner" for d in set(deg)]
 
-    watch("_block_atom", atom_kinds)
     watch("_lane_coeffs", degree_kinds)
-    for name in ("_block_linear_const", "_block_linear_exists", "_block_or",
-                 "_block_project", "_block_mod_exists"):
-        watch(name, lambda caller, out, *args, name=name: [name])
     watch("_block_complement", lambda caller, out, blk, lanes, rel, node: [
         "lane complement" if len(rel.cols) == 1 else "ragged complement"])
     watch("_atom_filter", lambda caller, out, conj, moduli: [
         f"{type(conj.node).__name__} filter"]
         if isinstance(getattr(moduli, "__self__", None), blockengine._Block) else [])
     watch("_join", lambda caller, out, *args: ["join"] if caller == "_block_joins" else [])
-    watch("_block_extend", lambda caller, out, *args: ["extend"] if caller == "_block_and" else [])
+    watch("_block_extend", lambda caller, out, *args: {
+        "_block_and": ["extend"], "_block_or": ["or extend"]}.get(caller, []))
+    watch("_group_drop", lambda caller, out, *args: (
+        ["mod group"] if caller == "_block_mod_exists" else []))
     watch("eval_rel", lambda caller, out, *args: ["prime by prime"] if caller == "_eval_chunk" else [],
           module=fastengine)
     extra = [
@@ -394,39 +421,55 @@ def test_block_path_matches_prime_by_prime(monkeypatch):
         "E x. E y. (((x * 2) = 1) & (y < x))",
         # a = (3 - b^2) / 2, and where p = 2, every a at each root of b^2 = 3
         "E a. E b. ((((2 * a) + (b * b)) = 3) & (b = 5) & (a < 4))",
+        # the disjunct over x is extended by y
+        "E x. E y. (((x * x) = 2) | ((y * y) = 3))",
+        # E[1,3] x. groups its body's rows by the lane and y
+        "E y. E[1,3] x. ((((x * x) * x) = y) & (0 < y) & (y < 3))",
+        # a(u) = 7u vanishes in the lane of 7, the one prime where it fails
+        "A u. ((u = 0) | (E v. ((((7 * u) * v) + u) = 1)))",
     ]
-    for s in FAMILY_SENTENCES + SWEEP_SENTENCES + blocked + [parse_sentence(t) for t in extra]:
+    extra = [parse_sentence(t) for t in extra]
+    assert all(map(_covered, extra))
+    for s in list(FAMILY_SENTENCES.values()) + SWEEP_SENTENCES + blocked + extra:
         want = _prime_by_prime(s, 2000)
         assert _spectrum_outcome(s, 2000) == want, formula_to_text(s)
-    assert fired >= {
-        "ground atom", "grid scan", "all", "none", "linear", "horner",
-        "_block_linear_const", "_block_linear_exists", "_block_or", "_block_project",
-        "_block_mod_exists", "lane complement", "ragged complement", "Less filter",
-        "Not filter", "join", "extend", "prime by prime",
+    # the last sentence fails only at 7
+    assert [int(p) for p, b in zip(spectra.prime_table(2000).primes, want) if not b] == [7]
+    assert fired >= set(blockengine._KERNELS) | {
+        "all", "none", "linear", "horner", "lane complement", "ragged complement",
+        "Less filter", "Not filter", "join", "extend", "prime by prime",
+        "or extend", "mod group", "a vanishes",
     }
 
 
-@pytest.mark.parametrize("budget", [100, 1000, 30_000])
+@pytest.mark.parametrize("budget", [50, 100, 300, 1000, 2000, 30_000])
 def test_block_budget_error_names_the_prime_as_prime_by_prime(budget):
     # the block runs out of budget where a prime alone would not, or where
-    # one would, and the primes are then evaluated one at a time
+    # one would, and the primes are then evaluated one at a time: a block
+    # runs out of budget wherever one of its primes alone would
     s = FAMILIES["powres"].build(n=3, d=3, r=1)
-    assert fastengine._plan(s)[0].block
+    assert _covered(s)
     want = _prime_by_prime(s, 3000, budget)
     assert _spectrum_outcome(s, 3000, budget) == want
     assert isinstance(want, str) == (budget < 3000)
+    if budget in (50, 300, 2000):
+        for t in filter(_covered, _corpus(100)):
+            want = _prime_by_prime(t, 600, budget)
+            assert _spectrum_outcome(t, 600, budget) == want, formula_to_text(t)
 
 
-def test_block_atom_refuses_a_negated_two_variable_equation():
-    # such an atom is a filter in a conjunction, and elsewhere keeps its
-    # sentence off the block path
+def test_a_tag_without_a_block_kernel_keeps_its_sentence_prime_by_prime(monkeypatch):
+    # a negated two-variable equation is a grid scan, which has no block
+    # kernel, so its sentence never reaches eval_block; the scan costs p^2 a
+    # prime, so the sweep stops at 600, whose 109 primes would make one block
     s = parse_sentence("E x. E y. !((x + (2 * y)) = 1)")
-    assert not fastengine._plan(s)[0].block
-    atom = fastengine._plan(s)[0].kids[0].kids[0].kids[0]
-    assert isinstance(atom.node, Equal) and len(atom.fv) == 2
-    blk = blockengine._Block(np.array([5, 7]), RingContext(7))
-    with pytest.raises(InvariantError, match="no block kernel"):
-        blockengine._block_atom(blk, np.arange(2), atom, True, atom.node)
+    atom = fastengine._plan(s)[0].kids[0].kids[0]
+    assert atom.tag == "grid scan" and atom.tag not in blockengine._KERNELS
+    assert not _covered(s)
+    passes = []
+    monkeypatch.setattr(blockengine, "eval_block", lambda *args: passes.append(args))
+    assert _spectrum_outcome(s, 600) == _prime_by_prime(s, 600)
+    assert passes == []
 
 
 def test_blocks_are_sized_by_the_rows_they_build(monkeypatch):
