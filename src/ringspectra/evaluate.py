@@ -1,9 +1,12 @@
 """Reference evaluation of formulas over Z_m, and eval_sentence.
 
-eval_naive is the semantic definition: one walk over the syntax tree
-compiles the formula to nested closures over a single mutable environment,
-and each quantifier is a loop over the universe that binds its variable in
-place.  It is deliberately simple so the fast relational engine can be
+eval_naive is the semantic definition.  Each formula is written out once,
+from its syntax tree as written, as Python source: one flat def per
+quantifier, whose for loop over the universe stops at the first deciding
+value for exists and forall, and Python's own connectives.  The source holds
+only generated names, integers, operators and keywords, runs without
+builtins, and is compiled once per sentence and kept while the sentence
+lives.  It is deliberately simple so the fast relational engine can be
 checked against it; see fastengine.py for that engine, which is
 the one eval_sentence uses unless asked for the reference or for both.
 """
@@ -11,7 +14,9 @@ the one eval_sentence uses unless asked for the reference or for both.
 from __future__ import annotations
 
 import itertools
+import re
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -19,7 +24,6 @@ from .errors import EngineDisagreementError, ResourceLimitError
 from .logic import (
     Add,
     And,
-    CountGE,
     Equal,
     Exists,
     Forall,
@@ -29,10 +33,11 @@ from .logic import (
     Less,
     Lit,
     Majority,
+    Mul,
     ModExists,
     Not,
     Or,
-    Term,
+    QUANTIFIERS,
     Var,
     formula_to_text,
     require_sentence,
@@ -72,98 +77,138 @@ class RingContext:
         return k % self.m
 
 
-def _term(ctx: RingContext, t: Term):
-    m = ctx.m
-    if isinstance(t, Var):
-        name = t.name
-        return lambda env: env[name]
-    if isinstance(t, Lit):
-        k = t.value
-        if ctx.strict_literals and k >= m:
-            return lambda env: ctx.reduce_literal(k)  # warns at each use
-        value = k % m
-        return lambda env: value
-    left, right = _term(ctx, t.left), _term(ctx, t.right)
-    if isinstance(t, Add):
-        return lambda env: (left(env) + right(env)) % m
-    return lambda env: (left(env) * right(env)) % m
+# CPython's parser refuses more than 200 nested parentheses, and runs out of
+# stack on fewer nested operators: a generated expression nests at most
+# this deep, and a deeper one becomes a def of its own.
+_NEST = 40
+
+# the operands of each node, in field order, fill its template
+_TEMPLATES = {
+    Add: "(({} + {}) % M)",
+    Mul: "(({} * {}) % M)",
+    Equal: "({} == {})",
+    Less: "({} < {})",
+    IntTimes: "({} * {} == {})",  # over the integers, not reduced
+    Not: "(not {})",
+    Implies: "(not {} or {})",
+}
+
+_SCOPE_NAME = re.compile(r"\b[fv]\d+\b")
+
+# id(sentence) -> {strict_literals: (free names, make)}, dropped with the
+# sentence.  Keyed on identity: hashing a frozen AST recurses through it, and
+# gives up near depth 500, where the generated source still compiles.
+_COMPILED: dict[int, dict] = {}
 
 
-def _formula(ctx: RingContext, f: Formula):
-    """f compiled to a closure env -> bool.  A quantifier binds its variable
-    in env in place, then restores it; Exists and Forall stop when decided."""
-    if isinstance(f, (Equal, Less)):
-        left, right = _term(ctx, f.left), _term(ctx, f.right)
-        if isinstance(f, Equal):
-            return lambda env: left(env) == right(env)
-        return lambda env: left(env) < right(env)
-    if isinstance(f, IntTimes):
-        x, y, z = _term(ctx, f.x), _term(ctx, f.y), _term(ctx, f.z)
-        return lambda env: x(env) * y(env) == z(env)
-    if isinstance(f, Not):
-        body = _formula(ctx, f.body)
-        return lambda env: not body(env)
-    if isinstance(f, (And, Or, Implies)):
-        left, right = _formula(ctx, f.left), _formula(ctx, f.right)
-        if isinstance(f, And):
-            return lambda env: left(env) and right(env)
-        if isinstance(f, Or):
-            return lambda env: left(env) or right(env)
-        return lambda env: (not left(env)) or right(env)
-    if not isinstance(f, (Exists, Forall, ModExists, Majority, CountGE)):
-        raise TypeError(f"not a formula: {f!r}")
-    var, m, body = f.var, ctx.m, _formula(ctx, f.body)
+def _source(f: Formula, strict: bool) -> tuple[list[str], str]:
+    """f's free names, and the source of make(M, R, W), which returns f over
+    Z_M as a function of their values.  A binding occurrence becomes a fresh
+    v<i>, a free name f<i>, a literal c<i> = k % M, or W(k) at each use when
+    strict; each quantifier is a def of the names it reads, looping over
+    R = range(M).  No name of f enters the source."""
+    defs, consts, free, fresh = [], {}, {}, itertools.count()
 
-    def scan(env, stop):  # witnesses of body as var runs over Z_m
-        saved = env.get(var)  # None: var was unbound
-        n = 0
-        for w in range(m):
-            env[var] = w
-            if body(env):
-                n += 1
-                if stop:
-                    break
-            elif stop is False:
-                break
-        del env[var]
-        if saved is not None:
-            env[var] = saved
-        return n
+    def define(lines, bound=None):
+        name = f"q{len(defs)}"
+        read = set(_SCOPE_NAME.findall(" ".join(lines))) - {bound}
+        args = ", ".join(sorted(read))
+        defs.append(f"    def {name}({args}):" + "".join(f"\n        {s}" for s in lines))
+        return f"{name}({args})", 0
 
-    if isinstance(f, Exists):
-        return lambda env: scan(env, True) > 0
-    if isinstance(f, Forall):
-        return lambda env: scan(env, False) == m
-    if isinstance(f, ModExists):
-        q, r = f.modulus, f.residue
-        return lambda env: scan(env, None) % q == r
-    if isinstance(f, Majority):
-        return lambda env: 2 * scan(env, None) > m
-    threshold = _term(ctx, f.count)
-    return lambda env: scan(env, None) >= threshold(env)
+    def emit(g, scope):  # (text, depth); one frame per level of g
+        if isinstance(g, Var):
+            return scope.get(g.name) or free.setdefault(g.name, f"f{len(free)}"), 0
+        if isinstance(g, Lit):
+            if strict:
+                return f"W({g.value})", 0
+            return consts.setdefault(g.value, f"c{len(consts)}"), 0
+        if isinstance(g, QUANTIFIERS):
+            v = f"v{next(fresh)}"
+            body = emit(g.body, {**scope, g.var: v})[0]
+            if isinstance(g, (Exists, Forall)):  # stop at the first deciding value
+                hit = isinstance(g, Exists)
+                test = body if hit else f"not {body}"
+                return define([f"for {v} in R:", f"    if {test}:",
+                               f"        return {hit}", f"return {not hit}"], v)
+            if isinstance(g, ModExists):
+                result = f"n % {g.modulus} == {g.residue}"
+            elif isinstance(g, Majority):
+                result = "2 * n > M"
+            else:  # the threshold is read after the scan
+                result = f"n >= {emit(g.count, scope)[0]}"
+            return define(["n = 0", f"for {v} in R:", f"    if {body}:",
+                           "        n += 1", f"return {result}"], v)
+        if isinstance(g, (And, Or)):  # a chain of one kind is emitted flat
+            stack, operands = [g], []
+            while stack:
+                h = stack.pop()
+                if type(h) is type(g):
+                    stack += (h.right, h.left)
+                else:
+                    operands.append(h)
+            joint = " and " if isinstance(g, And) else " or "
+            template = "(" + joint.join(["{}"] * len(operands)) + ")"
+        elif type(g) in _TEMPLATES:
+            operands, template = vars(g).values(), _TEMPLATES[type(g)]
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        texts, depth = [], 1
+        for h in operands:
+            text, d = emit(h, scope)
+            texts.append(text)
+            depth = max(depth, d + 1)
+        text = template.format(*texts)
+        return (text, depth) if depth < _NEST else define([f"return {text}"])
+
+    top = emit(f, {})[0]
+    lines = ["def make(M, R, W):"] + [f"    {c} = {k} % M" for k, c in consts.items()]
+    lines += defs + [f"    def top({', '.join(free.values())}):",
+                     f"        return {top}", "    return top"]
+    return list(free), "\n".join(lines) + "\n"
+
+
+def _compiled(ctx: RingContext, f: Formula):
+    """(free names of f, f in Z_m as a function of their values), from source
+    generated and compiled once per sentence, and run without builtins."""
+    known = _COMPILED.get(id(f))
+    if known is None:
+        known = _COMPILED[id(f)] = {}
+        weakref.finalize(f, _COMPILED.pop, id(f), None).atexit = False
+    if ctx.strict_literals not in known:
+        names, source = _source(f, ctx.strict_literals)
+        space = {"__builtins__": {}}
+        exec(compile(source, "<reference>", "exec"), space)
+        known[ctx.strict_literals] = names, space["make"]
+    names, make = known[ctx.strict_literals]
+    return names, make(ctx.m, range(ctx.m), ctx.reduce_literal)
 
 
 def eval_naive(ctx: RingContext, f: Formula, env: dict[str, int] | None = None) -> bool:
-    """Truth of f in Z_m under env (copied, never mutated): f is compiled
-    to closures in one walk, then run once."""
-    return _formula(ctx, f)(dict(env) if env else {})
+    """Truth of f in Z_m under env (read, never mutated), from f's compiled
+    source; KeyError if env lacks a free variable of f."""
+    names, holds = _compiled(ctx, f)
+    env = env or {}
+    return holds(*[env[n] for n in names])
 
 
 def naive_rows(ctx: RingContext, f: Formula, cols: Sequence[str], cap: int) -> list:
     """Assignments to cols satisfying f, in lexicographic order, from one
-    compiled closure; ResourceLimitError past cap assignments."""
+    compiled function; ResourceLimitError past cap assignments."""
     total = ctx.m ** len(cols)
     if total > cap:
         raise ResourceLimitError(
             f"{total} assignments are too many for per-assignment evaluation"
             f" of: {formula_to_text(f)[:100]}"
         )
-    holds, env, rows = _formula(ctx, f), {}, []
-    for vals in itertools.product(range(ctx.m), repeat=len(cols)):
-        env.update(zip(cols, vals))
-        if holds(env):
-            rows.append(vals)
-    return rows
+    names, holds = _compiled(ctx, f)
+    where = {col: i for i, col in enumerate(cols)}
+    pick = [where[n] for n in names]  # KeyError for a free name not in cols
+    return [
+        vals
+        for vals in itertools.product(range(ctx.m), repeat=len(cols))
+        if holds(*[vals[i] for i in pick])
+    ]
 
 
 def eval_sentence(

@@ -502,7 +502,10 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into a Formula; raises ParseError with position."""
     parser = _Parser(_tokenize(text))
-    f = parser.formula()
+    try:
+        f = parser.formula()
+    except RecursionError:
+        raise ParseError("formula nests too deeply") from None
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)

@@ -1,9 +1,15 @@
 """Evaluator semantics: reference engine examples, and agreement between
 the naive and relational engines on random sentences."""
 
+import gc
+import io
+import keyword
 import random
+import re
 import sys
+import tokenize
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -19,10 +25,20 @@ from ringspectra.errors import (
 from ringspectra.evaluate import RingContext, eval_naive, eval_sentence, naive_rows
 from ringspectra.fastengine import eval_fast, eval_fast_bool
 from ringspectra.logic import (
+    Add,
+    And,
     CountGE,
     Equal,
     Exists,
+    Forall,
+    Implies,
+    Less,
+    Lit,
     Majority,
+    ModExists,
+    Mul,
+    Not,
+    Or,
     Var,
     count_exact,
     formula_to_text,
@@ -247,31 +263,103 @@ def test_reference_leaves_the_callers_env_alone():
     assert env == {"x": 3}
 
 
-def test_reference_compiles_each_node_once(monkeypatch):
-    compiled = []
+def test_reference_compiles_each_sentence_once(monkeypatch):
+    generated, compiled = [], []
+    source = evaluate._source
 
-    def counting(compile_node):
-        def wrapper(ctx, node):
-            compiled.append(node)
-            return compile_node(ctx, node)
+    def counting_source(f, strict):
+        generated.append((f, strict))
+        return source(f, strict)
 
-        return wrapper
+    def counting_compile(*args):
+        compiled.append(args[0])
+        return compile(*args)
 
-    # the compiler's recursion goes through the module globals
-    monkeypatch.setattr(evaluate, "_formula", counting(evaluate._formula))
-    monkeypatch.setattr(evaluate, "_term", counting(evaluate._term))
+    monkeypatch.setattr(evaluate, "_COMPILED", {})
+    monkeypatch.setattr(evaluate, "_source", counting_source)
+    monkeypatch.setattr(evaluate, "compile", counting_compile, raising=False)
     s = parse_sentence("A x. (!(x = 0) -> E y. ((x * y) = 1))")
-    sizes = []
-    for m in (7, 31):
-        compiled.clear()
-        assert eval_naive(RingContext(m), s) is True
-        sizes.append(len(compiled))
-    assert sizes == [12, 12]
+    for strict in (False, True):
+        for m in (7, 31):
+            assert eval_naive(RingContext(m, strict_literals=strict), s) is True
+        assert generated == [(s, False), (s, True)][: 1 + strict]
+        assert len(compiled) == 1 + strict
     f = parse_formula("(x * y) = 1")
-    compiled.clear()
     rows = naive_rows(RingContext(12), f, ["x", "y"], 1000)
     assert rows == [(1, 1), (5, 5), (7, 7), (11, 11)]
-    assert compiled.count(f) == 1 and len(compiled) == 5
+    assert generated[2:] == [(f, False)] and len(compiled) == 3
+    # the entry, and the code compiled for it, go with the sentence
+    make = weakref.ref(evaluate._COMPILED[id(f)][False][1])
+    generated.clear()
+    del f
+    gc.collect()
+    assert make() is None and len(evaluate._COMPILED) == 1
+
+
+def _injection_sentence(a, b):
+    # E a. (C>=(a) b. ((a * b) = 2**70) & A b. ((b < a) -> !((b + 0) = 2**70)))
+    big = Lit(2**70)
+    return Exists(a, And(
+        CountGE(Var(a), b, Equal(Mul(Var(a), Var(b)), big)),
+        Forall(b, Implies(Less(Var(b), Var(a)), Not(Equal(Add(Var(b), Lit(0)), big)))),
+    ))
+
+
+def test_reference_source_holds_only_generated_names():
+    names = ("__import__('os')", "x); print(1")
+    evil, plain = _injection_sentence(*names), _injection_sentence("x", "y")
+    generated = re.compile(r"[qvfc]\d+|M|R|W|make|top|n")
+    for strict in (False, True):
+        _, source = evaluate._source(evil, strict)
+        assert not any(name in source for name in names)
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                assert keyword.iskeyword(tok.string) or generated.fullmatch(tok.string)
+            else:
+                assert tok.type in (
+                    tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE, tokenize.NL,
+                    tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER,
+                ), tok
+        space = {"__builtins__": {}}
+        exec(source, space)
+        for m in range(1, 13):
+            want = eval_sentence(plain, m, engine="both")
+            assert eval_sentence(evil, m, engine="both") is want
+            ctx = RingContext(m, strict_literals=strict)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert space["make"](m, range(m), ctx.reduce_literal)() is want
+
+
+def test_reference_evaluates_long_and_deep_formulas():
+    chain = " & ".join(f"!(x = {k})" for k in range(300))
+    s = parse_sentence(f"E x. ({chain})")
+    assert eval_sentence(s, 300, engine="both") is False
+    assert eval_sentence(s, 301, engine="both") is True
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # left to right, each x stops at !(x = x), before any literal >= 200
+        assert eval_sentence(s, 200, engine="naive", strict_literals=True) is False
+    assert not caught
+    for depth in (250, 600):
+        f = Equal(Var("x"), Lit(0))
+        for k in range(depth):  # alternating And/Or, nested on the left
+            if k % 2:
+                f = And(f, Less(Var("x"), Lit(k % 11 + 2)))
+            else:
+                f = Or(f, Equal(Var("x"), Lit(k % 13)))
+        for m in (7, 12):
+            n = 0
+            for x in range(m):
+                holds = x == 0
+                for k in range(depth):
+                    if k % 2:
+                        holds = holds and x < (k % 11 + 2) % m
+                    else:
+                        holds = holds or x == k % 13 % m
+                n += holds
+            assert eval_sentence(ModExists(n % 3, 3, "x", f), m, engine="naive")
+            assert not eval_sentence(ModExists((n + 1) % 3, 3, "x", f), m, engine="naive")
 
 
 def test_eval_sentence_dispatch_and_both_mode():

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from ringspectra.errors import ParseError
+from ringspectra.evaluate import eval_sentence
 from ringspectra.logic import (
     Add,
     And,
@@ -111,6 +112,13 @@ def test_parse_error_positions():
     assert exc.value.line == 1
     with pytest.raises(ParseError):
         parse_formula("x = 1 y = 2")
+
+
+def test_parse_error_for_too_deep_nesting():
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_formula("!(" * 1000 + "x = 0" + ")" * 1000)
+    s = parse_sentence("E x. " + "!(" * 150 + "x = 0" + ")" * 150)
+    assert eval_sentence(s, 5, engine="both") is True
 
 
 def test_mod_exists_residue_validation():
