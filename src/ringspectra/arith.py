@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ ROOT_SCAN_LIMIT = 100_000
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Primes up to ``bound`` with O(log) membership and counting queries."""
+    """Primes up to ``bound`` with O(log) counting queries."""
 
     bound: int
     flags: np.ndarray = field(repr=False, compare=False)
@@ -39,18 +38,6 @@ class PrimeTable:
         if x > self.bound:
             raise ResourceLimitError(f"pi({x}) exceeds table bound {self.bound}")
         return int(np.searchsorted(self.primes, x, side="right"))
-
-    def is_prime(self, n: int) -> bool:
-        if n > self.bound:
-            raise ResourceLimitError(f"is_prime({n}) exceeds table bound {self.bound}")
-        return n >= 2 and bool(self.flags[n])
-
-    def primes_between(self, lo: int, hi: int) -> np.ndarray:
-        """Primes p with lo < p < hi (both ends exclusive), hi capped at bound."""
-        hi = min(hi, self.bound + 1)
-        i = int(np.searchsorted(self.primes, lo, side="right"))
-        j = int(np.searchsorted(self.primes, hi, side="left"))
-        return self.primes[i:j]
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -106,19 +93,9 @@ class IntPolynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def x(cls) -> "IntPolynomial":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -128,21 +105,6 @@ class IntPolynomial:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -154,23 +116,6 @@ class IntPolynomial:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
         return IntPolynomial(out)
-
-    def __pow__(self, e: int) -> "IntPolynomial":
-        if e < 0:
-            raise ValueError("negative exponent")
-        out = IntPolynomial((1,))
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def scale(self, c: int) -> "IntPolynomial":
-        return IntPolynomial(tuple(c * a for a in self.coeffs))
-
-    def shift(self, k: int) -> "IntPolynomial":
-        """Multiply by x**k."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -222,51 +167,6 @@ class IntPolynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    _TERM_RE = re.compile(
-        r"\s*(?P<sign>[+-])?\s*(?:"
-        r"(?P<coeff>\d+)\s*(?:\*\s*x(?:\^(?P<exp1>\d+))?)?"
-        r"|x(?:\^(?P<exp2>\d+))?"
-        r")"
-    )
-
-    @classmethod
-    def from_text(cls, text: str) -> "IntPolynomial":
-        """Parse the to_text form; whitespace-insensitive, zero terms optional."""
-        coeffs: dict[int, int] = {}
-        pos = 0
-        first = True
-        stripped = text.strip()
-        if not stripped:
-            raise ValueError("empty polynomial text")
-        while pos < len(text):
-            if text[pos:].strip() == "":
-                break
-            m = cls._TERM_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                raise ValueError(f"bad polynomial text at offset {pos}: {text!r}")
-            sign = m.group("sign")
-            if sign is None and not first:
-                raise ValueError(f"missing +/- between terms in {text!r}")
-            s = -1 if sign == "-" else 1
-            if m.group("coeff") is not None:
-                c = int(m.group("coeff"))
-                exp = int(m.group("exp1")) if m.group("exp1") is not None else (
-                    1 if "x" in m.group(0) else 0
-                )
-            else:
-                c = 1
-                exp = int(m.group("exp2")) if m.group("exp2") is not None else 1
-            coeffs[exp] = coeffs.get(exp, 0) + s * c
-            pos = m.end()
-            first = False
-        if not coeffs:
-            raise ValueError(f"no terms in polynomial text {text!r}")
-        size = max(coeffs) + 1
-        out = [0] * size
-        for k, c in coeffs.items():
-            out[k] = c
-        return cls(out)
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self.to_text()!r})"

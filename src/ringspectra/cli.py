@@ -131,7 +131,7 @@ def _cmd_eval(args) -> int:
         )
         sys.stdout.write("true\n" if value else "false\n")
         return EXIT_OK
-    budget = args.tuple_budget or DEFAULT_TUPLE_BUDGET
+    budget = DEFAULT_TUPLE_BUDGET if args.tuple_budget is None else args.tuple_budget
     ctx = RingContext(args.modulus, tuple_budget=budget)
     if args.engine == "naive":
         rows = naive_rows(ctx, formula, names, ctx.tuple_budget)
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("verify", help="run the reproduction suite")
-    p.add_argument("--suite", choices=("paper",), default="paper")
     p.add_argument("--bound", type=int, default=10_000)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--claims", default=None, help="comma-separated claim ids")

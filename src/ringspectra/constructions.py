@@ -296,18 +296,11 @@ def theta_sentence(q: int) -> Formula:
 
 @dataclass(frozen=True)
 class SentenceFamily:
-    """A named, parameterized sentence builder with its validity note.
-
-    exclusion_bound gives the prime threshold below which the family's
-    construction is allowed to misbehave; spectrum comparisons should
-    ignore primes up to it.
-    """
+    """A named sentence builder and the parameters it takes."""
 
     name: str
     parameters: tuple[str, ...]
-    precondition: str
     _builder: Callable[..., Formula] = field(repr=False)
-    _exclusion: Callable[..., int] = field(repr=False, default=lambda **kw: 0)
 
     def build(self, **params) -> Formula:
         unknown = set(params) - set(self.parameters)
@@ -322,55 +315,16 @@ class SentenceFamily:
             )
         return self._builder(**params)
 
-    def exclusion_bound(self, **params) -> int:
-        return self._exclusion(**params)
-
 
 FAMILIES: dict[str, SentenceFamily] = {
     f.name: f
     for f in (
-        SentenceFamily(
-            "congruence",
-            ("a", "d"),
-            "primes p > d",
-            congruence_sentence,
-            lambda a, d: d,
-        ),
-        SentenceFamily(
-            "cyclotomic",
-            ("n",),
-            "primes not dividing n",
-            cyclotomic_sentence,
-            lambda n: n,
-        ),
-        SentenceFamily(
-            "modcount",
-            ("r", "q"),
-            "primes p > q",
-            mod_count_sentence,
-            lambda r, q: q,
-        ),
-        SentenceFamily(
-            "powres",
-            ("n", "d", "r"),
-            "primes p > n*d",
-            power_residue_sentence,
-            lambda n, d, r: n * d,
-        ),
-        SentenceFamily(
-            "psi",
-            ("q",),
-            "q prime, primes p > q",
-            psi_sentence,
-            lambda q: q,
-        ),
-        SentenceFamily(
-            "theta",
-            ("q",),
-            "q prime, primes p > q",
-            theta_sentence,
-            lambda q: q,
-        ),
-        SentenceFamily("prime", (), "all m >= 2", prime_sentence),
+        SentenceFamily("congruence", ("a", "d"), congruence_sentence),
+        SentenceFamily("cyclotomic", ("n",), cyclotomic_sentence),
+        SentenceFamily("modcount", ("r", "q"), mod_count_sentence),
+        SentenceFamily("powres", ("n", "d", "r"), power_residue_sentence),
+        SentenceFamily("psi", ("q",), psi_sentence),
+        SentenceFamily("theta", ("q",), theta_sentence),
+        SentenceFamily("prime", (), prime_sentence),
     )
 }

@@ -3,9 +3,9 @@
 Measures how thickly a spectrum sits inside the primes through a scaling
 function h: the ratio h(pi_S(n)) / h(pi(n)) sampled at chosen points.
 Identity h gives natural density, log gives exponential density.  The
-module also checks the classical prime-counting bracket, semi-additivity
-of h, thinness of sequences, alternating prime sets built from interval
-unions, and the a^2 + b^4 prime family.
+module also checks the classical prime-counting bracket, thinness of
+sequences, alternating prime sets built from interval unions, and the
+a^2 + b^4 prime family.
 
 Everything reported here is finite-horizon measurement.  Counting beyond
 the sieve bound is refused rather than extrapolated; the one exception is
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -28,15 +28,10 @@ from .spectra import Spectrum, prime_table
 
 @dataclass(frozen=True)
 class DensityFunction:
-    """A positive increasing unbounded scaling function.
-
-    semiadd_bound, when known, is an M past which h(x+y) <= h(x) + h(y)
-    holds for all x >= y > M.
-    """
+    """A positive increasing unbounded scaling function."""
 
     name: str
     fn: Callable[[float], float] = field(repr=False)
-    semiadd_bound: Optional[float] = None
 
     def __call__(self, x: float) -> float:
         try:
@@ -47,8 +42,8 @@ class DensityFunction:
             ) from None
 
 
-IDENTITY = DensityFunction("identity", float, 0.0)
-LOG = DensityFunction("log", math.log, 2.0)
+IDENTITY = DensityFunction("identity", float)
+LOG = DensityFunction("log", math.log)
 LOGLOG = DensityFunction("loglog", lambda x: math.log(math.log(x)))
 
 _BUILTIN = {h.name: h for h in (IDENTITY, LOG, LOGLOG)}
@@ -116,31 +111,13 @@ def sequence_from_spec(text: str) -> IntSequence:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Ratios h(pi_S(n)) / h(pi(n)) at increasing sample points.
-
-    The tail window summarizes the largest quarter of the samples; it is
-    the finite-horizon stand-in for liminf and limsup.
-    """
+    """Ratios h(pi_S(n)) / h(pi(n)) at increasing sample points."""
 
     h_name: str
     samples: tuple[int, ...]
     pi_s: tuple[int, ...]
     pi: tuple[int, ...]
     ratios: tuple[float, ...]
-
-    @property
-    def tail_window(self) -> tuple[float, float]:
-        k = max(1, math.ceil(len(self.samples) / 4))
-        tail = self.ratios[-k:]
-        return (min(tail), max(tail))
-
-    @property
-    def tail_inf(self) -> float:
-        return self.tail_window[0]
-
-    @property
-    def tail_sup(self) -> float:
-        return self.tail_window[1]
 
 
 def _ratio(h: DensityFunction, count_s: int, count_all: int) -> float:
@@ -189,27 +166,6 @@ def pnt_bounds_check(table: PrimeTable, start: int = 17) -> bool:
     pi = np.cumsum(table.flags)[start:]
     guide = xs / np.log(xs)
     return bool(np.all(0.5 * guide < pi) and np.all(pi < 1.5 * guide))
-
-
-def semi_additive_check(
-    h: DensityFunction, m: float, grid: Iterable[float]
-) -> list[tuple[str, float, float]]:
-    """Violations of h(x+y) <= h(x) + h(y) for x >= y > M on the grid,
-    and of the companion h(x-y) >= h(x) - h(y) for x > 2y > 2M."""
-    pts = sorted(float(g) for g in grid)
-    if pts and pts[0] <= 0:
-        raise ValueError("grid values must be positive")
-    bad = []
-    for i, x in enumerate(pts):
-        for y in pts[: i + 1]:
-            if y <= m:
-                continue
-            slack = 1e-9 * (abs(h(x)) + abs(h(y)) + 1)
-            if h(x + y) > h(x) + h(y) + slack:
-                bad.append(("sum", x, y))
-            if x > 2 * y and h(x - y) < h(x) - h(y) - slack:
-                bad.append(("diff", x, y))
-    return bad
 
 
 def is_h_thin(
@@ -276,10 +232,6 @@ class OscillationReport:
     points: tuple[tuple[int, int, float], ...]  # (index, term, ratio)
     even_max: float
     odd_min: float
-
-    @property
-    def gap(self) -> float:
-        return self.odd_min - self.even_max
 
 
 def oscillation_report(

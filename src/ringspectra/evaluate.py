@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import warnings
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -56,7 +55,6 @@ class RingContext:
     """Evaluation context for Z_m."""
 
     m: int
-    strict_literals: bool = False
     tuple_budget: int = DEFAULT_TUPLE_BUDGET
     # the largest relation charged against tuple_budget so far
     peak_rows: int = field(default=0, init=False, compare=False, repr=False)
@@ -66,15 +64,8 @@ class RingContext:
             raise ValueError("modulus must be >= 1")
         if self.m > MAX_MODULUS:
             raise ResourceLimitError(f"modulus {self.m} exceeds cap {MAX_MODULUS}")
-
-    def reduce_literal(self, k: int) -> int:
-        if self.strict_literals and k >= self.m:
-            warnings.warn(
-                f"literal {k} reduced modulo {self.m}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return k % self.m
+        if self.tuple_budget < 1:
+            raise ValueError(f"tuple budget must be >= 1, got {self.tuple_budget}")
 
 
 # CPython's parser refuses more than 200 nested parentheses, and runs out of
@@ -95,18 +86,18 @@ _TEMPLATES = {
 
 _SCOPE_NAME = re.compile(r"\b[fv]\d+\b")
 
-# id(sentence) -> {strict_literals: (free names, make)}, dropped with the
-# sentence.  Keyed on identity: hashing a frozen AST recurses through it, and
-# gives up near depth 500, where the generated source still compiles.
-_COMPILED: dict[int, dict] = {}
+# id(sentence) -> (free names, make), dropped with the sentence.  Keyed on
+# identity: hashing a frozen AST recurses through it, and gives up near
+# depth 500, where the generated source still compiles.
+_COMPILED: dict[int, tuple] = {}
 
 
-def _source(f: Formula, strict: bool) -> tuple[list[str], str]:
-    """f's free names, and the source of make(M, R, W), which returns f over
+def _source(f: Formula) -> tuple[list[str], str]:
+    """f's free names, and the source of make(M, R), which returns f over
     Z_M as a function of their values.  A binding occurrence becomes a fresh
-    v<i>, a free name f<i>, a literal c<i> = k % M, or W(k) at each use when
-    strict; each quantifier is a def of the names it reads, looping over
-    R = range(M).  No name of f enters the source."""
+    v<i>, a free name f<i> and a literal c<i> = k % M; each quantifier is a
+    def of the names it reads, looping over R = range(M).  No name of f
+    enters the source."""
     defs, consts, free, fresh = [], {}, {}, itertools.count()
 
     def define(lines, bound=None):
@@ -120,8 +111,6 @@ def _source(f: Formula, strict: bool) -> tuple[list[str], str]:
         if isinstance(g, Var):
             return scope.get(g.name) or free.setdefault(g.name, f"f{len(free)}"), 0
         if isinstance(g, Lit):
-            if strict:
-                return f"W({g.value})", 0
             return consts.setdefault(g.value, f"c{len(consts)}"), 0
         if isinstance(g, QUANTIFIERS):
             v = f"v{next(fresh)}"
@@ -162,7 +151,7 @@ def _source(f: Formula, strict: bool) -> tuple[list[str], str]:
         return (text, depth) if depth < _NEST else define([f"return {text}"])
 
     top = emit(f, {})[0]
-    lines = ["def make(M, R, W):"] + [f"    {c} = {k} % M" for k, c in consts.items()]
+    lines = ["def make(M, R):"] + [f"    {c} = {k} % M" for k, c in consts.items()]
     lines += defs + [f"    def top({', '.join(free.values())}):",
                      f"        return {top}", "    return top"]
     return list(free), "\n".join(lines) + "\n"
@@ -173,15 +162,13 @@ def _compiled(ctx: RingContext, f: Formula):
     generated and compiled once per sentence, and run without builtins."""
     known = _COMPILED.get(id(f))
     if known is None:
-        known = _COMPILED[id(f)] = {}
-        weakref.finalize(f, _COMPILED.pop, id(f), None).atexit = False
-    if ctx.strict_literals not in known:
-        names, source = _source(f, ctx.strict_literals)
+        names, source = _source(f)
         space = {"__builtins__": {}}
         exec(compile(source, "<reference>", "exec"), space)
-        known[ctx.strict_literals] = names, space["make"]
-    names, make = known[ctx.strict_literals]
-    return names, make(ctx.m, range(ctx.m), ctx.reduce_literal)
+        weakref.finalize(f, _COMPILED.pop, id(f), None).atexit = False
+        known = _COMPILED[id(f)] = names, space["make"]
+    names, make = known
+    return names, make(ctx.m, range(ctx.m))
 
 
 def eval_naive(ctx: RingContext, f: Formula, env: dict[str, int] | None = None) -> bool:
@@ -216,7 +203,6 @@ def eval_sentence(
     m: int,
     engine: str = "fast",
     *,
-    strict_literals: bool = False,
     tuple_budget: Optional[int] = None,
 ) -> bool:
     """Evaluate a closed formula in Z_m.
@@ -231,7 +217,7 @@ def eval_sentence(
     require_sentence(sentence)
     if tuple_budget is None:
         tuple_budget = DEFAULT_TUPLE_BUDGET
-    ctx = RingContext(m, strict_literals=strict_literals, tuple_budget=tuple_budget)
+    ctx = RingContext(m, tuple_budget=tuple_budget)
     if engine == "naive":
         return eval_naive(ctx, sentence)
     if engine == "fast":

@@ -32,10 +32,9 @@ modulus.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -873,20 +872,17 @@ def _union(*names: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(set().union(*names)))
 
 
-def _compile(formula: Formula) -> tuple[_Plan, int]:
-    """The plan of a formula, and the largest literal in it."""
+def _compile(formula: Formula) -> _Plan:
+    """The plan of a formula."""
     fresh = itertools.count(1)
-    top = 0
 
     def term(t: Term, names: dict):
         """Renamed term, its variables and its polynomial over sorted
         multisets of variable names."""
-        nonlocal top
         if isinstance(t, Var):
             name = names.get(t.name, t.name)
             return Var(name), {name}, {(name,): 1}
         if isinstance(t, Lit):
-            top = max(top, t.value)
             return t, set(), {(): t.value}
         a, av, ap = term(t.left, names)
         b, bv, bp = term(t.right, names)
@@ -956,14 +952,30 @@ def _compile(formula: Formula) -> tuple[_Plan, int]:
             q = _Plan(node, _union(fv, zero.fv), (body, zero))
         return negated(q) if positive == isinstance(f, Forall) else q
 
-    plan = walk(formula, True, {})
-    return plan, top
+    return walk(formula, True, {})
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(formula: Formula) -> tuple[_Plan, int]:
-    """_compile, cached: a sweep compiles its sentence once per process."""
-    return _compile(formula)
+# id(formula) -> its plan, dropped with the formula.  Keyed on identity:
+# hashing a frozen AST recurses through it, once per level.
+_PLANS: dict[int, _Plan] = {}
+
+
+def _too_deep() -> ResourceLimitError:
+    return ResourceLimitError("formula nested too deeply for the relational engine")
+
+
+def _plan(formula: Formula) -> _Plan:
+    """_compile, once per formula object: a sweep compiles its sentence
+    once."""
+    plan = _PLANS.get(id(formula))
+    if plan is None:
+        try:
+            plan = _compile(formula)
+        except RecursionError:
+            raise _too_deep() from None
+        weakref.finalize(formula, _PLANS.pop, id(formula), None).atexit = False
+        _PLANS[id(formula)] = plan
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -1216,24 +1228,22 @@ def eval_rel(ctx: RingContext, p: _Plan) -> Relation:
     return _KERNELS[p.tag](ctx, p)
 
 
-def _run(ctx: RingContext, formula: Formula) -> Relation:
-    plan, top = _plan(formula)
-    if ctx.strict_literals and top >= ctx.m:
-        warnings.warn(
-            f"literal {top} reduced modulo {ctx.m}", RuntimeWarning, stacklevel=3
-        )
-    return eval_rel(ctx, plan)
+def _run(ctx: RingContext, plan: _Plan) -> Relation:
+    try:
+        return eval_rel(ctx, plan)
+    except RecursionError:
+        raise _too_deep() from None
 
 
 def eval_fast(ctx: RingContext, formula: Formula) -> Relation:
     """Satisfying assignments of a formula over its free variables, with
     columns sorted by name and rows in lexicographic order."""
-    rel = _run(ctx, formula)
+    rel = _run(ctx, _plan(formula))
     return Relation(rel.cols, _dedup(rel.data, ctx.m))
 
 
 def eval_fast_bool(ctx: RingContext, sentence: Formula) -> bool:
-    rel = _run(ctx, sentence)
-    if rel.cols:
+    plan = _plan(sentence)
+    if plan.fv:
         raise ValueError("sentence has free variables")
-    return rel.nrows > 0
+    return _run(ctx, plan).nrows > 0

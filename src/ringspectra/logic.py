@@ -189,10 +189,6 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def is_sentence(f: Formula) -> bool:
-    return not free_vars(f)
-
-
 def require_sentence(f: Formula) -> Formula:
     fv = free_vars(f)
     if fv:

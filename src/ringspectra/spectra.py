@@ -176,7 +176,7 @@ def _eval_chunk(args) -> list[bool]:
     from . import blockengine
 
     sentence, primes, tuple_budget = args
-    plan, _ = fastengine._plan(sentence)
+    plan = fastengine._plan(sentence)
     covered = blockengine.covers(plan)
     ends = np.cumsum(primes)
     out: list[bool] = []
@@ -227,15 +227,18 @@ def spectrum(
     table = prime_table(bound)
     primes = table.primes
     workers = resolve_workers(workers)
-    if workers == 1 or len(primes) < 4 * workers:
-        bits = _eval_chunk((s, primes, tuple_budget))
-        return Spectrum(bound, np.asarray(bits, dtype=bool))
-    # finer chunks than workers so late (large, slower) primes balance out
-    chunks = np.array_split(primes, 4 * workers)
-    jobs = [(s, chunk, tuple_budget) for chunk in chunks if len(chunk)]
-    with get_context("fork").Pool(workers) as pool:
-        parts = pool.map(_eval_chunk, jobs)
-    bits = [b for part in parts for b in part]
+    try:
+        if workers == 1 or len(primes) < 4 * workers:
+            bits = _eval_chunk((s, primes, tuple_budget))
+        else:
+            # finer chunks than workers so late (large, slower) primes balance out
+            chunks = np.array_split(primes, 4 * workers)
+            jobs = [(s, chunk, tuple_budget) for chunk in chunks if len(chunk)]
+            with get_context("fork").Pool(workers) as pool:
+                parts = pool.map(_eval_chunk, jobs)
+            bits = [b for part in parts for b in part]
+    except RecursionError:
+        raise fastengine._too_deep() from None
     return Spectrum(bound, np.asarray(bits, dtype=bool))
 
 
@@ -312,12 +315,6 @@ class CongruenceClass:
                 raise ValueError(f"residue {a} out of range for modulus {self.modulus}")
         object.__setattr__(self, "residues", rs)
 
-    def unit_flags(self) -> tuple[bool, ...]:
-        return tuple(math.gcd(a, self.modulus) == 1 for a in self.residues)
-
-    def spectrum(self, bound: int) -> Spectrum:
-        return class_spectrum(self.modulus, self.residues, bound)
-
 
 def lagarias_in_B(a: int, d: int) -> bool:
     """Whether {p : p = a mod d} is a Boolean combination of polynomial spectra.
@@ -378,12 +375,3 @@ def fit_congruences(
         )
         results.append((CongruenceClass(d, tuple(fitted)), report))
     return results
-
-
-def power_residue_count(p: int, n: int) -> int:
-    """Number of distinct nonzero n-th powers in Z_p (p an odd prime)."""
-    if p < 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"need an odd prime, got {p}")
-    if n < 1:
-        raise ValueError(f"exponent must be positive, got {n}")
-    return len({pow(x, n, p) for x in range(1, p)})

@@ -161,15 +161,13 @@ def test_verify_subset_passes_and_reproduces(tmp_path, capsys):
     report_a = str(tmp_path / "a.json")
     report_b = str(tmp_path / "b.json")
     code, out, _ = run(
-        capsys, "verify", "--suite", "paper", "--bound", "1000",
-        "--claims", "4,13", "--json", report_a,
+        capsys, "verify", "--bound", "1000", "--claims", "4,13", "--json", report_a,
     )
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("claim  4 PASS") and lines[1].startswith("claim 13 PASS")
     assert lines[-1] == "2/2 claims pass"
-    run(capsys, "verify", "--suite", "paper", "--bound", "1000",
-        "--claims", "4,13", "--json", report_b)
+    run(capsys, "verify", "--bound", "1000", "--claims", "4,13", "--json", report_b)
     a = open(report_a, "rb").read()
     assert a == open(report_b, "rb").read()
     assert b"timestamp" not in a and json.loads(a)["schema"] == "ringspectra.verify/1"
@@ -200,6 +198,17 @@ def test_resource_limits_exit_3(tmp_path, capsys):
     assert code == 3 and "resource" in err
     code, _, err = run(capsys, "eval", "--modulus", "6000000", "--formula", path)
     assert code == 3
+
+
+def test_eval_rejects_a_tuple_budget_below_one(tmp_path, capsys):
+    closed = formula_file(tmp_path, "E x. (x = 1)")
+    open_ = formula_file(tmp_path, "(x = 1)", "open.rng")
+    for budget in ("0", "-5"):
+        for path in (closed, open_):
+            code, out, err = run(
+                capsys, "eval", "--modulus", "5", "--formula", path, "--tuple-budget", budget
+            )
+            assert (code, out) == (2, "") and "tuple budget" in err
 
 
 def test_spectrum_rejects_open_formula(tmp_path, capsys):

@@ -8,7 +8,6 @@ import random
 import re
 import sys
 import tokenize
-import warnings
 import weakref
 
 import numpy as np
@@ -46,6 +45,7 @@ from ringspectra.logic import (
     parse_sentence,
     random_sentence,
 )
+from ringspectra.spectra import spectrum
 
 
 def both(text, m):
@@ -209,46 +209,23 @@ def test_tuple_budget_error_names_subformula():
     )
 
 
-def test_strict_literals_warns():
-    s = parse_sentence("E x. (x = 7)")
-    with pytest.warns(RuntimeWarning):
-        eval_sentence(s, 5, engine="naive", strict_literals=True)
-    with pytest.warns(RuntimeWarning):
-        eval_sentence(s, 5, engine="fast", strict_literals=True)
-    # the fast engine warns once when any literal of the sentence is >= m,
-    # whichever literals its evaluation reaches
-    s = parse_sentence("E x. ((x = 0) | ((x = 7) & (8 = 3)))")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        eval_sentence(s, 5, strict_literals=True)
-        assert len(caught) == 1
-        eval_sentence(s, 9, strict_literals=True)
-        assert len(caught) == 1
-
-
 @pytest.mark.parametrize(
-    "text, m, warned, value",
+    "text, m, value",
     [
-        # one warning per evaluation of the literal: Exists stops at the
-        # witness x = 2, Forall at the first non-witness, E[r,q] scans all
-        ("E x. (x = 7)", 5, 3, True),
-        ("A x. (x = 7)", 5, 1, False),
-        ("E[0,2] x. (x = 7)", 5, 5, False),
-        ("E x. (x = 7)", 9, 0, True),
-        ("A x. (x = 7)", 9, 0, False),
-        ("E[0,2] x. (x = 7)", 9, 0, False),
+        # a literal >= m is reduced modulo m
+        ("E x. (x = 7)", 5, True),
+        ("A x. (x = 7)", 5, False),
+        ("E[0,2] x. (x = 7)", 5, False),
+        ("E x. (x = 7)", 9, True),
+        ("A x. (x = 7)", 9, False),
+        ("E[0,2] x. (x = 7)", 9, False),
         # shadowing: the inner x hides the outer one, then hands it back
-        ("E x. E x. (x = 1)", 5, 0, True),
-        ("E x. ((E x. (x = 1)) & (x = 0))", 5, 0, True),
+        ("E x. E x. (x = 1)", 5, True),
+        ("E x. ((E x. (x = 1)) & (x = 0))", 5, True),
     ],
 )
-def test_reference_warns_at_each_literal_reduction(text, m, warned, value):
-    s = parse_sentence(text)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert eval_sentence(s, m, engine="naive", strict_literals=True) is value
-    assert len(caught) == warned
-    assert eval_sentence(s, m, engine="both") is value
+def test_reference_reduces_literals_modulo_m(text, m, value):
+    assert eval_sentence(parse_sentence(text), m, engine="both") is value
 
 
 def test_reference_leaves_the_callers_env_alone():
@@ -267,9 +244,9 @@ def test_reference_compiles_each_sentence_once(monkeypatch):
     generated, compiled = [], []
     source = evaluate._source
 
-    def counting_source(f, strict):
-        generated.append((f, strict))
-        return source(f, strict)
+    def counting_source(f):
+        generated.append(f)
+        return source(f)
 
     def counting_compile(*args):
         compiled.append(args[0])
@@ -279,17 +256,15 @@ def test_reference_compiles_each_sentence_once(monkeypatch):
     monkeypatch.setattr(evaluate, "_source", counting_source)
     monkeypatch.setattr(evaluate, "compile", counting_compile, raising=False)
     s = parse_sentence("A x. (!(x = 0) -> E y. ((x * y) = 1))")
-    for strict in (False, True):
-        for m in (7, 31):
-            assert eval_naive(RingContext(m, strict_literals=strict), s) is True
-        assert generated == [(s, False), (s, True)][: 1 + strict]
-        assert len(compiled) == 1 + strict
+    for m in (7, 31):
+        assert eval_naive(RingContext(m), s) is True
+    assert generated == [s] and len(compiled) == 1
     f = parse_formula("(x * y) = 1")
     rows = naive_rows(RingContext(12), f, ["x", "y"], 1000)
     assert rows == [(1, 1), (5, 5), (7, 7), (11, 11)]
-    assert generated[2:] == [(f, False)] and len(compiled) == 3
+    assert generated[1:] == [f] and len(compiled) == 2
     # the entry, and the code compiled for it, go with the sentence
-    make = weakref.ref(evaluate._COMPILED[id(f)][False][1])
+    make = weakref.ref(evaluate._COMPILED[id(f)][1])
     generated.clear()
     del f
     gc.collect()
@@ -308,27 +283,34 @@ def _injection_sentence(a, b):
 def test_reference_source_holds_only_generated_names():
     names = ("__import__('os')", "x); print(1")
     evil, plain = _injection_sentence(*names), _injection_sentence("x", "y")
-    generated = re.compile(r"[qvfc]\d+|M|R|W|make|top|n")
-    for strict in (False, True):
-        _, source = evaluate._source(evil, strict)
-        assert not any(name in source for name in names)
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.NAME:
-                assert keyword.iskeyword(tok.string) or generated.fullmatch(tok.string)
-            else:
-                assert tok.type in (
-                    tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE, tokenize.NL,
-                    tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER,
-                ), tok
-        space = {"__builtins__": {}}
-        exec(source, space)
-        for m in range(1, 13):
-            want = eval_sentence(plain, m, engine="both")
-            assert eval_sentence(evil, m, engine="both") is want
-            ctx = RingContext(m, strict_literals=strict)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                assert space["make"](m, range(m), ctx.reduce_literal)() is want
+    generated = re.compile(r"[qvfc]\d+|M|R|make|top|n")
+    _, source = evaluate._source(evil)
+    assert not any(name in source for name in names)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert keyword.iskeyword(tok.string) or generated.fullmatch(tok.string)
+        else:
+            assert tok.type in (
+                tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE, tokenize.NL,
+                tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER,
+            ), tok
+    space = {"__builtins__": {}}
+    exec(source, space)
+    for m in range(1, 13):
+        want = eval_sentence(plain, m, engine="both")
+        assert eval_sentence(evil, m, engine="both") is want
+        assert space["make"](m, range(m))() is want
+
+
+def _nest(depth):
+    """An alternating And/Or nest over x, nested on the left."""
+    f = Equal(Var("x"), Lit(0))
+    for k in range(depth):
+        if k % 2:
+            f = And(f, Less(Var("x"), Lit(k % 11 + 2)))
+        else:
+            f = Or(f, Equal(Var("x"), Lit(k % 13)))
+    return f
 
 
 def test_reference_evaluates_long_and_deep_formulas():
@@ -336,18 +318,8 @@ def test_reference_evaluates_long_and_deep_formulas():
     s = parse_sentence(f"E x. ({chain})")
     assert eval_sentence(s, 300, engine="both") is False
     assert eval_sentence(s, 301, engine="both") is True
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        # left to right, each x stops at !(x = x), before any literal >= 200
-        assert eval_sentence(s, 200, engine="naive", strict_literals=True) is False
-    assert not caught
     for depth in (250, 600):
-        f = Equal(Var("x"), Lit(0))
-        for k in range(depth):  # alternating And/Or, nested on the left
-            if k % 2:
-                f = And(f, Less(Var("x"), Lit(k % 11 + 2)))
-            else:
-                f = Or(f, Equal(Var("x"), Lit(k % 13)))
+        f = _nest(depth)
         for m in (7, 12):
             n = 0
             for x in range(m):
@@ -360,6 +332,45 @@ def test_reference_evaluates_long_and_deep_formulas():
                 n += holds
             assert eval_sentence(ModExists(n % 3, 3, "x", f), m, engine="naive")
             assert not eval_sentence(ModExists((n + 1) % 3, 3, "x", f), m, engine="naive")
+
+
+def test_fast_engine_refuses_formulas_nested_too_deep():
+    # depth 350 fits the relational engine's recursion, depth 600 does not
+    for r in range(3):
+        s = ModExists(r, 3, "x", _nest(350))
+        for m in (7, 12):
+            eval_sentence(s, m, engine="both")
+    deep = ModExists(0, 3, "x", _nest(600))
+    for run in (
+        lambda: eval_sentence(deep, 7),
+        lambda: eval_sentence(deep, 7, engine="both"),
+        lambda: eval_fast(RingContext(7), deep.body),
+        lambda: spectrum(deep, 30, workers=1),
+    ):
+        try:
+            run()
+        except ResourceLimitError as exc:
+            assert "nested too deeply" in str(exc)
+        except RecursionError:  # too deep a traceback for pytest to print
+            pytest.fail("RecursionError, not ResourceLimitError", pytrace=False)
+        else:
+            pytest.fail("no ResourceLimitError")
+
+
+def test_fast_engine_rejects_free_variables_before_evaluating(monkeypatch):
+    calls = _counting(monkeypatch, fastengine, "eval_rel")
+    with pytest.raises(ValueError):
+        eval_fast_bool(RingContext(7), parse_formula("E y. (x = y)"))
+    assert calls == []
+
+
+def test_tuple_budget_below_one_is_rejected():
+    s = parse_sentence("E x. (x = 1)")
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            eval_sentence(s, 5, tuple_budget=budget)
+        with pytest.raises(ValueError):
+            spectrum(s, 30, workers=1, tuple_budget=budget)
 
 
 def test_eval_sentence_dispatch_and_both_mode():
@@ -710,7 +721,7 @@ def test_rank_keeps_counting_below_u_under_budget(monkeypatch):
     )
     assert eval_sentence(s, 10007) is True
     # without the rank count, E[0,2] v. over one free variable is a mod count
-    assert fastengine._plan(s)[0].kids[0].kids[0].tag == "rank"
+    assert fastengine._plan(s).kids[0].kids[0].tag == "rank"
     monkeypatch.setitem(fastengine._KERNELS, "rank", fastengine._KERNELS["mod count"])
     with pytest.raises(ResourceLimitError):
         eval_sentence(s, 10007)

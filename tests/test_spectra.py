@@ -29,7 +29,6 @@ from ringspectra.spectra import (
     intersection,
     lagarias_in_B,
     poly_spectrum,
-    power_residue_count,
     resolve_workers,
     spectrum,
     union,
@@ -170,18 +169,6 @@ def test_fit_congruences_full_set_and_interval_set():
     assert fit_congruences(interval, 12) == []
 
 
-def test_power_residue_count_examples():
-    assert power_residue_count(13, 3) == 4
-    assert power_residue_count(13, 5) == 12
-    assert power_residue_count(11, 1) == 10
-    for p in (7, 13, 19, 31):
-        for n in (2, 3):
-            if (p - 1) % n == 0:
-                assert power_residue_count(p, n) == (p - 1) // n
-    with pytest.raises(ValueError):
-        power_residue_count(15, 2)
-
-
 def test_spectrum_determinism_across_workers():
     s = parse_sentence("E x. (x * x + 1 = 0)")
     assert spectrum(s, 2_000, workers=1) == spectrum(s, 2_000, workers=3)
@@ -228,9 +215,7 @@ def test_membership_and_counts():
     assert 13 in s and 7 not in s and 99 not in s
     assert s.counts_up_to([4, 5, 13, 100]) == [0, 1, 2, 3]
     assert s.members() == [5, 13, 17]
-    cls = CongruenceClass(6, (1, 4))
-    assert cls.unit_flags() == (True, False)
-    assert cls.spectrum(50).members() == [7, 13, 19, 31, 37, 43]
+    assert class_spectrum(6, (1, 4), 50).members() == [7, 13, 19, 31, 37, 43]
 
 
 def test_poly_spectrum_counts_vanishing_reduction_as_member():
@@ -274,7 +259,7 @@ def _recording(monkeypatch, calls, *targets):
 
 def test_sweep_compiles_the_sentence_once(monkeypatch):
     s = congruence_sentence(5, 12)
-    fastengine._plan.cache_clear()
+    monkeypatch.setattr(fastengine, "_PLANS", {})
     compiled, checked, looked_up = [], [], []
     _recording(monkeypatch, compiled, (fastengine, "_compile"))
     _recording(
@@ -327,13 +312,13 @@ def _corpus(n):
 
 
 def _covered(s):
-    return blockengine.covers(fastengine._plan(s)[0])
+    return blockengine.covers(fastengine._plan(s))
 
 
 def _prime_by_prime(s, bound, tuple_budget=DEFAULT_TUPLE_BUDGET):
     """What spectrum(s, bound) gives one prime at a time: its bits, or the
     message of the error it raises."""
-    plan, _ = fastengine._plan(s)
+    plan = fastengine._plan(s)
     bits = []
     for p in spectra.prime_table(bound).primes:
         try:
@@ -361,7 +346,7 @@ def test_every_tag_has_a_kernel_and_the_block_path_keeps_its_sentences():
             walk(c)
 
     for s in corpus + list(FAMILY_SENTENCES.values()):
-        walk(fastengine._plan(s)[0])
+        walk(fastengine._plan(s))
     assert tags <= set(fastengine._KERNELS)
     assert set(blockengine._KERNELS) <= set(fastengine._KERNELS)
     covered = [_covered(s) for s in corpus]
@@ -463,7 +448,7 @@ def test_a_tag_without_a_block_kernel_keeps_its_sentence_prime_by_prime(monkeypa
     # kernel, so its sentence never reaches eval_block; the scan costs p^2 a
     # prime, so the sweep stops at 600, whose 109 primes would make one block
     s = parse_sentence("E x. E y. !((x + (2 * y)) = 1)")
-    atom = fastengine._plan(s)[0].kids[0].kids[0]
+    atom = fastengine._plan(s).kids[0].kids[0]
     assert atom.tag == "grid scan" and atom.tag not in blockengine._KERNELS
     assert not _covered(s)
     passes = []
