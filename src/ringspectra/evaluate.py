@@ -58,6 +58,9 @@ class RingContext:
     tuple_budget: int = DEFAULT_TUPLE_BUDGET
     # the largest relation charged against tuple_budget so far
     peak_rows: int = field(default=0, init=False, compare=False, repr=False)
+    # what the fast engine computed for each class of shared plan nodes
+    # (fastengine._share) at this modulus, so that it computes it once
+    shared: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -107,14 +110,16 @@ def _source(f: Formula) -> tuple[list[str], str]:
         defs.append(f"    def {name}({args}):" + "".join(f"\n        {s}" for s in lines))
         return f"{name}({args})", 0
 
-    def emit(g, scope):  # (text, depth); one frame per level of g
+    def emit(g, scope):
+        """g's (text, depth), as a generator that yields (operand, scope)
+        for the text and depth of each operand; run drives it."""
         if isinstance(g, Var):
             return scope.get(g.name) or free.setdefault(g.name, f"f{len(free)}"), 0
         if isinstance(g, Lit):
             return consts.setdefault(g.value, f"c{len(consts)}"), 0
         if isinstance(g, QUANTIFIERS):
             v = f"v{next(fresh)}"
-            body = emit(g.body, {**scope, g.var: v})[0]
+            body = (yield g.body, {**scope, g.var: v})[0]
             if isinstance(g, (Exists, Forall)):  # stop at the first deciding value
                 hit = isinstance(g, Exists)
                 test = body if hit else f"not {body}"
@@ -125,7 +130,7 @@ def _source(f: Formula) -> tuple[list[str], str]:
             elif isinstance(g, Majority):
                 result = "2 * n > M"
             else:  # the threshold is read after the scan
-                result = f"n >= {emit(g.count, scope)[0]}"
+                result = f"n >= {(yield g.count, scope)[0]}"
             return define(["n = 0", f"for {v} in R:", f"    if {body}:",
                            "        n += 1", f"return {result}"], v)
         if isinstance(g, (And, Or)):  # a chain of one kind is emitted flat
@@ -144,13 +149,28 @@ def _source(f: Formula) -> tuple[list[str], str]:
             raise TypeError(f"not a formula: {g!r}")
         texts, depth = [], 1
         for h in operands:
-            text, d = emit(h, scope)
+            text, d = yield h, scope
             texts.append(text)
             depth = max(depth, d + 1)
         text = template.format(*texts)
         return (text, depth) if depth < _NEST else define([f"return {text}"])
 
-    top = emit(f, {})[0]
+    def run(g, scope):
+        """emit(g, scope) on a stack of its own: the generators of the
+        operands being emitted, so that no depth of f exhausts Python's."""
+        stack, value = [emit(g, scope)], None
+        while stack:
+            try:
+                operand = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+            else:
+                stack.append(emit(*operand))
+                value = None
+        return value
+
+    top = run(f, {})[0]
     lines = ["def make(M, R):"] + [f"    {c} = {k} % M" for k, c in consts.items()]
     lines += defs + [f"    def top({', '.join(free.values())}):",
                      f"        return {top}", "    return top"]

@@ -23,6 +23,21 @@ _compile also tags every plan node with its strategy (_tag), once per
 sentence, and eval_rel runs the kernel of that tag in _KERNELS.  A sweep
 over primes looks the same tags up in blockengine's table of block kernels.
 
+Alpha-equivalent nodes are evaluated once per modulus (hash-consing, as in
+Filliatre and Conchon, "Type-Safe Modular Hash-Consing", 2006).  _share
+keys every node with free variables that is not an atom or a negated atom
+by its normalised subformula, with free variables numbered by first
+occurrence and bound ones by their quantifier, and keeps the key, with the
+node's own names in that order, only where two nodes or more have it:
+psi(3) says "V is a power of 3" four times.  eval_rel caches the relation
+of such a node, and _count_filter its groups and counts, in the context's
+dict shared, and a later node of the class takes them renamed to its own
+variables.  A context serves one modulus (a sweep makes one per prime), so
+nothing cached outlives it, and unshared nodes pay one attribute test.
+_TIMES_TABLE, the last modulus's TIMES table, stays a module global and
+not an entry of that cache: the benchmark's large-m workload and the tests
+empty it by name before an evaluation.
+
 Every materialization is charged against the context's tuple budget and
 raises ResourceLimitError naming the subformula when it would exceed it.
 The reference evaluator in evaluate.py defines the semantics; this engine
@@ -680,8 +695,18 @@ def _count_filter(ctx: RingContext, notq: _Plan) -> _Filter:
     """Filter form of a negated quantifier: per-row witness-count test."""
     q = notq.kids[0].node
     m = ctx.m
-    body = eval_rel(ctx, notq.kids[0].kids[0])
-    V0, groups, counts = _group_drop(ctx, body, q.var)
+
+    def group():
+        return _group_drop(ctx, eval_rel(ctx, notq.kids[0].kids[0]), q.var)
+
+    if notq.share is None:
+        V0, groups, counts = group()
+    else:
+        (V0, groups, counts), to = _memo(ctx, notq, "count", group)
+        if to is not None:
+            # the groups keep the column order they were sorted in, under
+            # this node's names, so their keys stay sorted
+            V0 = tuple(to[c] for c in V0)
 
     def fn(cols: dict) -> np.ndarray:
         n = len(next(iter(cols.values())))
@@ -755,8 +780,11 @@ class _Plan:
     steps: tuple = ()
     rank: tuple | None = None
     tag: str = field(init=False)
+    # set by _share, once per sentence, on nodes whose class occurs twice
+    share: tuple | None = field(init=False)
 
     def __post_init__(self):
+        self.share = None
         if isinstance(self.node, And):
             self.steps = _steps(self.kids)
         elif isinstance(self.node, _QUANTIFIERS):
@@ -955,6 +983,51 @@ def _compile(formula: Formula) -> _Plan:
     return walk(formula, True, {})
 
 
+def _share(plan: _Plan) -> None:
+    """Give share = (the first node of its class, its free variables in the
+    class's order) to each node with free variables, other than an atom or
+    a negated atom, whose class of alpha-equivalent subformulas has two
+    nodes or more.  A class is interned from the classes of its operands
+    and where their free variables go, so the walk is linear in the
+    formula."""
+    classes: dict[tuple, int] = {}
+    known: dict[int, tuple[int, tuple[str, ...]]] = {}
+
+    def canon(g) -> tuple[int, tuple[str, ...]]:
+        """The class of a subformula or term, and its free variables in
+        order of first occurrence."""
+        if id(g) not in known:
+            if isinstance(g, Var):
+                shape, names = ["Var"], [g.name]
+            else:
+                bound = getattr(g, "var", None)
+                shape, names = [type(g).__name__], []
+                for value in vars(g).values():
+                    if isinstance(value, int):
+                        shape.append(value)
+                    elif not isinstance(value, str):  # a str is the bound name
+                        cls, inner = canon(value)
+                        names += [n for n in inner if n != bound and n not in names]
+                        where = tuple(-1 if n == bound else names.index(n) for n in inner)
+                        shape.append((cls, where))
+            known[id(g)] = classes.setdefault(tuple(shape), len(classes)), tuple(names)
+        return known[id(g)]
+
+    members: dict[int, list] = {}
+    stack = [plan]
+    while stack:
+        p = stack.pop()
+        stack.extend(p.kids)
+        atom = p.node.body if isinstance(p.node, Not) else p.node
+        if p.fv and not isinstance(atom, _ATOMS):
+            cls, names = canon(p.node)
+            members.setdefault(cls, []).append((p, names))
+    for nodes in members.values():
+        if len(nodes) > 1:
+            for p, names in nodes:
+                p.share = nodes[0][0], names
+
+
 # id(formula) -> its plan, dropped with the formula.  Keyed on identity:
 # hashing a frozen AST recurses through it, once per level.
 _PLANS: dict[int, _Plan] = {}
@@ -971,6 +1044,7 @@ def _plan(formula: Formula) -> _Plan:
     if plan is None:
         try:
             plan = _compile(formula)
+            _share(plan)
         except RecursionError:
             raise _too_deep() from None
         weakref.finalize(formula, _PLANS.pop, id(formula), None).atexit = False
@@ -1223,9 +1297,35 @@ _KERNELS: dict[str, Callable[[RingContext, _Plan], Relation]] = {
 }
 
 
+def _memo(ctx: RingContext, p: _Plan, kind: str, compute: Callable):
+    """compute(), once per context for each kind and class of shared nodes
+    (_share), with the map from the names of the node it was computed for
+    to p's own, or None for p's own.  A hit charges nothing: the first
+    computation charged the budget."""
+    first, names = p.share
+    hit = ctx.shared.get((kind, first))
+    if hit is None:
+        value = compute()
+        ctx.shared[kind, first] = names, value
+        return value, None
+    was, value = hit
+    return value, None if was == names else dict(zip(was, names))
+
+
 def eval_rel(ctx: RingContext, p: _Plan) -> Relation:
-    """Evaluate a plan to its satisfying-assignment relation."""
-    return _KERNELS[p.tag](ctx, p)
+    """Evaluate a plan to its satisfying-assignment relation, once per
+    context for each class of shared nodes."""
+    if p.share is None:
+        return _KERNELS[p.tag](ctx, p)
+    rel, to = _memo(ctx, p, "relation", lambda: _KERNELS[p.tag](ctx, p))
+    if to is None:
+        return rel
+    cols = [to[c] for c in rel.cols]
+    if cols == sorted(cols):
+        return Relation(tuple(cols), rel.data)
+    # renamed, the columns left name order: their rows follow them
+    order = sorted(range(len(cols)), key=cols.__getitem__)
+    return Relation(tuple(sorted(cols)), rel.data[order])
 
 
 def _run(ctx: RingContext, plan: _Plan) -> Relation:

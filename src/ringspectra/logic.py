@@ -174,19 +174,28 @@ def term_vars(t: Term) -> frozenset[str]:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Equal) or isinstance(f, Less):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, IntTimes):
-        return term_vars(f.x) | term_vars(f.y) | term_vars(f.z)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, CountGE):
-        return term_vars(f.count) | (free_vars(f.body) - {f.var})
-    if isinstance(f, QUANTIFIERS):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    """The variables of f that no quantifier of f binds, by a walk with its
+    own stack, so that no depth of nesting exhausts Python's."""
+    free: set[str] = set()
+    stack = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        t = type(g)
+        if t is And or t is Or or t is Implies:
+            stack += ((g.left, bound), (g.right, bound))
+        elif t is Equal or t is Less:
+            free |= (term_vars(g.left) | term_vars(g.right)) - bound
+        elif t is Not:
+            stack.append((g.body, bound))
+        elif t is IntTimes:
+            free |= (term_vars(g.x) | term_vars(g.y) | term_vars(g.z)) - bound
+        elif t in QUANTIFIERS:
+            if t is CountGE:
+                free |= term_vars(g.count) - bound
+            stack.append((g.body, bound | {g.var}))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return frozenset(free)
 
 
 def require_sentence(f: Formula) -> Formula:

@@ -1,6 +1,7 @@
 """Evaluator semantics: reference engine examples, and agreement between
 the naive and relational engines on random sentences."""
 
+import dataclasses
 import gc
 import io
 import keyword
@@ -13,8 +14,8 @@ import weakref
 import numpy as np
 import pytest
 
-from ringspectra import evaluate, fastengine, verify
-from ringspectra.constructions import FAMILIES
+from ringspectra import blockengine, evaluate, fastengine, verify
+from ringspectra.constructions import FAMILIES, psi_sentence
 from ringspectra.errors import (
     EngineDisagreementError,
     InvariantError,
@@ -38,6 +39,7 @@ from ringspectra.logic import (
     Mul,
     Not,
     Or,
+    QUANTIFIERS,
     Var,
     count_exact,
     formula_to_text,
@@ -314,11 +316,13 @@ def _nest(depth):
 
 
 def test_reference_evaluates_long_and_deep_formulas():
+    # depth 1200 also passes eval_sentence's free_vars, which walks with a
+    # stack of its own, as does the reference's source writer
     chain = " & ".join(f"!(x = {k})" for k in range(300))
     s = parse_sentence(f"E x. ({chain})")
     assert eval_sentence(s, 300, engine="both") is False
     assert eval_sentence(s, 301, engine="both") is True
-    for depth in (250, 600):
+    for depth in (250, 600, 1200):
         f = _nest(depth)
         for m in (7, 12):
             n = 0
@@ -340,21 +344,21 @@ def test_fast_engine_refuses_formulas_nested_too_deep():
         s = ModExists(r, 3, "x", _nest(350))
         for m in (7, 12):
             eval_sentence(s, m, engine="both")
-    deep = ModExists(0, 3, "x", _nest(600))
-    for run in (
-        lambda: eval_sentence(deep, 7),
-        lambda: eval_sentence(deep, 7, engine="both"),
-        lambda: eval_fast(RingContext(7), deep.body),
-        lambda: spectrum(deep, 30, workers=1),
-    ):
-        try:
-            run()
-        except ResourceLimitError as exc:
-            assert "nested too deeply" in str(exc)
-        except RecursionError:  # too deep a traceback for pytest to print
-            pytest.fail("RecursionError, not ResourceLimitError", pytrace=False)
-        else:
-            pytest.fail("no ResourceLimitError")
+    for deep in (ModExists(0, 3, "x", _nest(600)), ModExists(1, 2, "x", _nest(1200))):
+        for run in (
+            lambda: eval_sentence(deep, 7),
+            lambda: eval_sentence(deep, 7, engine="both"),
+            lambda: eval_fast(RingContext(7), deep.body),
+            lambda: spectrum(deep, 30, workers=1),
+        ):
+            try:
+                run()
+            except ResourceLimitError as exc:
+                assert "nested too deeply" in str(exc)
+            except RecursionError:  # too deep a traceback for pytest to print
+                pytest.fail("RecursionError, not ResourceLimitError", pytrace=False)
+            else:
+                pytest.fail("no ResourceLimitError")
 
 
 def test_fast_engine_rejects_free_variables_before_evaluating(monkeypatch):
@@ -611,6 +615,43 @@ def _fast_outcome(s, m):
     return rel.cols, rel.rows.tolist()
 
 
+SHARED_CORPUS_SEED = 20261019
+
+
+def _shared_corpus(n):
+    """Claim 12's kind of sentence, with its body below its first one or two
+    quantifiers conjoined with a copy of itself under fresh quantifiers, so
+    that every subformula with free variables there has an alpha-equivalent
+    twin.  The copy swaps the two outer variables and renames the others in
+    reverse order, so a relation renamed from one twin to the other
+    reverses its columns.  The outer quantifiers become E, and each outer
+    variable v gets a conjunct v = v, a relation that holds everywhere; so
+    the twins are conjuncts, and a negated quantifier among them is a count
+    filter.  A body that is a quantifier other than A is negated, so that
+    it is one."""
+    rng = random.Random(SHARED_CORPUS_SEED)
+    corpus = []
+    for _ in range(n):
+        outer, body = [], random_sentence(rng, max_depth=5)
+        while len(outer) < 2 and isinstance(body, QUANTIFIERS):
+            outer.append(body.var)
+            body = body.body
+        if isinstance(body, QUANTIFIERS) and not isinstance(body, Forall):
+            body = Not(body)
+        text = formula_to_text(body)
+        bound = sorted(set(re.findall(r"\bv\d+\b", text)) - set(outer))
+        twin = dict(zip(outer, outer[::-1]))
+        twin.update({v: f"a{len(bound) - i:03d}" for i, v in enumerate(bound)})
+        copy = parse_formula(re.sub(r"\bv\d+\b", lambda hit: twin[hit.group()], text))
+        s = And(body, copy)
+        for v in outer:
+            s = And(Equal(Var(v), Var(v)), s)
+        for v in outer[::-1]:
+            s = Exists(v, s)
+        corpus.append(s)
+    return corpus
+
+
 def test_small_chunks_and_pack_limit_keep_every_relation(monkeypatch):
     # metamorphic test: with 7-cell chunks and packed keys capped at 2^3,
     # the multi-chunk loops, and from m = 8 on the wide-key fallback of
@@ -804,3 +845,138 @@ def test_times_table_is_rebuilt_for_exactly_the_next_modulus(monkeypatch):
     assert _times_outcomes([4099, 4111], 10**7) == [True, True]
     assert fastengine._TIMES_TABLE["bound"] == 4111
     assert fastengine._TIMES_TABLE["rows"].shape == (34_846, 3)  # sum of 4110 // a
+
+
+def _plan_nodes(plan):
+    nodes, stack = [], [plan]
+    while stack:
+        p = stack.pop()
+        nodes.append(p)
+        stack.extend(p.kids)
+    return nodes
+
+
+def _recording_memo(monkeypatch):
+    """Wrap fastengine._memo; returns the (kind, names) of every hit, the
+    names a cached relation's columns or count filter's groups take."""
+    hits = []
+    real = fastengine._memo
+
+    def memo(ctx, p, kind, compute):
+        value, to = real(ctx, p, kind, compute)
+        if to is not None:
+            cols = value.cols if kind == "relation" else value[0]
+            hits.append((kind, [to[c] for c in cols]))
+        return value, to
+
+    monkeypatch.setattr(fastengine, "_memo", memo)
+    return hits
+
+
+def test_psi_evaluates_each_shared_class_once_per_modulus(monkeypatch):
+    # "V is a power of 3" four times, "the square of a power of 3" twice
+    s = psi_sentence(3)
+    nodes = _plan_nodes(fastengine._plan(s))
+    assert sum(p.share is not None for p in nodes) == 28
+    fields = {f.name for f in dataclasses.fields(fastengine._Plan)}
+    # (context, kind, node, entries cached) of each kernel call and count
+    # grouping
+    calls = []
+
+    def kernel_of(kernel):
+        def wrapper(ctx, p):
+            calls.append((ctx, "relation", p, len(ctx.shared)))
+            return kernel(ctx, p)
+
+        return wrapper
+
+    for tag, kernel in fastengine._KERNELS.items():
+        monkeypatch.setitem(fastengine._KERNELS, tag, kernel_of(kernel))
+    real_group_drop = fastengine._group_drop
+
+    def group_drop(ctx, rel, v):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "group":  # the count filter's groups
+            calls.append((ctx, "count", caller.f_locals["notq"], len(ctx.shared)))
+        return real_group_drop(ctx, rel, v)
+
+    monkeypatch.setattr(fastengine, "_group_drop", group_drop)
+    runs = []
+    for m in (101, 101, 257):  # 9^2 < 101 < 3 * 9^2, and 3^5 < 257 < 9^3
+        calls.clear()
+        assert eval_sentence(s, m) is (m == 101)
+        contexts = {id(ctx) for ctx, _, _, _ in calls}
+        assert len(contexts) == 1 and calls[0][3] == 0  # it starts empty
+        per_class = {}
+        for ctx, kind, p, _ in calls:
+            if p.share is not None:
+                key = (kind, id(p.share[0]))
+                per_class[key] = per_class.get(key, 0) + 1
+        assert per_class and set(per_class.values()) == {1}
+        assert {kind for kind, _ in per_class} == {"relation", "count"}
+        runs.append((contexts, [(kind, p) for _, kind, p, _ in calls]))
+        # the cache lives on the context only
+        assert all(set(vars(p)) <= fields for p in nodes)
+    # a second evaluation at the same modulus computes it all again
+    assert runs[0][0] != runs[1][0] and runs[0][1] == runs[1][1]
+
+
+def test_renamed_relations_and_count_groups_reverse_their_columns(monkeypatch):
+    # P(a, b) and C(a, b) are shared with P(d, c) and C(d, c): renamed from
+    # the first to the second, (a, b) becomes (d, c), out of name order
+    P = "(E w. (({u} = (w * w)) & (w < {v})))"
+    C = "!(E w. ((w * w) = ({u} + (2 * {v}))))"
+
+    def twins(conjunct):
+        return (
+            f"(E a. E b. ({conjunct.format(u='a', v='b')} & (b < a)))"
+            f" & (E c. E d. ({conjunct.format(u='d', v='c')} & (d < c)))"
+        )
+
+    # each twin's count filter tests fewer rows than m^2 group keys, so it
+    # looks its groups up in sorted order; without the count filters the
+    # block engine, which shares nothing, takes the sweep
+    s = parse_sentence(twins(f"{P} & {C}"))
+    block = parse_sentence(twins(P))
+    assert blockengine.covers(fastengine._plan(block))
+    hits = _recording_memo(monkeypatch)
+    lookups = []
+    real_searchsorted = np.searchsorted
+
+    def searchsorted(*args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "fn":
+            lookups.append([c.split("'")[0] for c in caller.f_locals["V0"]])
+        return real_searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    primes = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+    for sentence in (s, block):
+        got = [eval_sentence(sentence, m, engine="both") for m in range(1, 13)]
+        assert True in got and False in got
+        bits = spectrum(sentence, 59, workers=1).bits.tolist()
+        assert bits == [eval_sentence(sentence, p) for p in primes]
+    # the open conjunction's whole relation, against the reference's rows
+    f = parse_formula(" & ".join(c.format(u=u, v=v) for c in (P, C) for u, v in ("ab", "dc")))
+    for m in range(1, 9):
+        rel = eval_fast(RingContext(m), f)
+        assert rel.cols == ("a", "b", "c", "d")
+        want = naive_rows(RingContext(m), f, rel.cols, m**4)
+        assert rel.rows.tolist() == [list(row) for row in want]
+    for kind in ("relation", "count"):
+        assert any(k == kind and names != sorted(names) for k, names in hits)
+    assert ["d", "c"] in lookups
+
+
+def test_engines_agree_where_twins_share_their_relations(monkeypatch):
+    # claim 12's corpus has no twin subformulas, and so never reaches the
+    # shared path; this corpus reaches it on both kinds, reversed too
+    rng = random.Random(verify.ENGINE_FUZZ_SEED)
+    claim_12 = [random_sentence(rng, max_depth=5) for _ in range(500)]
+    assert not any(p.share for s in claim_12 for p in _plan_nodes(fastengine._plan(s)))
+    hits = _recording_memo(monkeypatch)
+    for s in _shared_corpus(120):
+        for m in range(1, 31):
+            eval_sentence(s, m, engine="both")
+    for kind in ("relation", "count"):
+        assert any(k == kind and names != sorted(names) for k, names in hits)
