@@ -16,8 +16,10 @@ predicate); a one-variable equation of higher degree is solved by Horner
 evaluation over all residues, and other atoms by vectorized scans of their
 assignment grid, which _decode_keys enumerates.  Dedup, grouping, joins and
 the count filter compare assignments by one order-preserving int64 key
-(_keys): base-m digits while they fit, ranks from np.unique beyond; dedup
-and grouping sort the keys and flag adjacent differences.
+(_keys): base-m digits while they fit, ranks from np.unique beyond.  Where
+m**k, the number of keys, is at most _DENSE a row plus _DENSE_SLACK, dedup,
+grouping, the anti-join and the count filter index an array with a slot per
+key, as the complement always does, and elsewhere sort or search the keys.
 
 _compile also tags every plan node with its strategy (_tag), once per
 sentence, and eval_rel runs the kernel of that tag in _KERNELS.  A sweep
@@ -86,6 +88,8 @@ _PACK_LIMIT = 2**62
 # vectorized scans are cheaper per cell than materialized tuples
 _SCAN_DISCOUNT = 64
 _CHUNK = 1 << 20
+# an array of m**k slots beats sorting n keys up to about 4n slots, or 1024
+_DENSE, _DENSE_SLACK = 4, 1024
 _LINEAR_LOOP_CAP = 300_000
 
 
@@ -179,24 +183,35 @@ def _keys(m: int, *blocks):
     """Order-preserving int64 keys for blocks of assignments to the same
     k >= 1 variables, each block a (k, n) array or a list of its k columns:
     equal assignments get equal keys in every block, and keys sort as the
-    assignments do.  Returns the keys of each block and the function from
-    keys back to (k, n) assignments.
+    assignments do.  Returns the keys of each block, the function from keys
+    back to (k, n) assignments, and m**k if the keys are dense, else None.
 
-    Assignments pack base m while m**k is below _PACK_LIMIT; wider ones are
-    ranked by np.unique over all the blocks."""
+    Assignments pack base m while m**k is below _PACK_LIMIT, and are dense
+    if m**k is at most _DENSE a row of all the blocks plus _DENSE_SLACK;
+    wider ones are ranked by np.unique over all the blocks."""
     k = len(blocks[0])
     if m**k < _PACK_LIMIT:
-        return [_pack(b, m) for b in blocks], lambda keys: _decode_keys(keys, k, m)
+        domain = m**k if m**k <= _DENSE * sum(len(b[0]) for b in blocks) + _DENSE_SLACK else None
+        return [_pack(b, m) for b in blocks], lambda keys: _decode_keys(keys, k, m), domain
     joint = np.concatenate(blocks, axis=1)
     uniq, inv = np.unique(joint, axis=1, return_inverse=True)
     splits = np.cumsum([len(b[0]) for b in blocks[:-1]])
     keys = np.split(inv.reshape(-1).astype(np.int64), splits)
-    return keys, lambda keys: np.take(uniq, keys, axis=1)
+    return keys, lambda keys: np.take(uniq, keys, axis=1), None
 
 
-def _sorted_unique(keys: np.ndarray, counts: bool = False):
+def _sorted_unique(keys: np.ndarray, counts: bool = False, domain: int | None = None):
     """np.unique(keys) for 1-D keys, and with counts=True also the count of
-    each key, by a sort and a flag where adjacent keys differ."""
+    each key: by a slot for each key of [0, domain) if given, else by a
+    sort and a flag where adjacent keys differ."""
+    if domain is not None and counts:
+        tally = np.bincount(keys, minlength=domain)
+        uniq = np.flatnonzero(tally != 0)  # faster than on int64
+        return uniq, tally[uniq]
+    if domain is not None:
+        seen = np.zeros(domain, dtype=bool)
+        seen[keys] = True
+        return np.flatnonzero(seen)
     keys = np.sort(keys)
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
@@ -212,20 +227,23 @@ def _dedup(data, m: int) -> np.ndarray:
     list of its k columns, in lexicographic order."""
     if len(data) == 0 or len(data[0]) <= 1:
         return np.asarray(data)[:, :1]
-    (key,), decode = _keys(m, data)
-    return decode(_sorted_unique(key))
+    (key,), decode, domain = _keys(m, data)
+    return decode(_sorted_unique(key, domain=domain))
 
 
 def _columns(rel: Relation, names) -> list[np.ndarray]:
     return [rel.data[rel.cols.index(c)] for c in names]
 
 
-def _member_mask(keys: np.ndarray, sorted_present: np.ndarray) -> np.ndarray:
-    if sorted_present.size == 0:
-        return np.zeros(keys.shape, dtype=bool)
-    idx = np.searchsorted(sorted_present, keys)
-    idx = np.minimum(idx, sorted_present.size - 1)
-    return sorted_present[idx] == keys
+def _lookup(table_keys: np.ndarray, values: np.ndarray, keys: np.ndarray, domain):
+    """The values of keys in a table of sorted unique table_keys, or 0: by a
+    slot for each key of [0, domain) if given, else by binary search."""
+    if domain is not None:
+        table = np.zeros(domain, dtype=values.dtype)
+        table[table_keys] = values
+        return table[keys]
+    idx = np.minimum(np.searchsorted(table_keys, keys), table_keys.size - 1)
+    return np.where(table_keys[idx] == keys, values[idx], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +318,8 @@ def _extend_to(
 
 
 def _complement(ctx: RingContext, rel: Relation, node: Formula) -> Relation:
-    """All assignments over rel.cols not in rel."""
+    """All assignments over rel.cols not in rel, in order: a flag a byte for
+    each of the m**k keys the budget admits as int64 rows, cleared at rel's."""
     m = ctx.m
     k = len(rel.cols)
     if k == 0:
@@ -308,21 +327,18 @@ def _complement(ctx: RingContext, rel: Relation, node: Formula) -> Relation:
     total = m**k
     # charged before packing: keys below the budget always fit in int64
     _charge(ctx, total, node)
-    present = np.sort(_pack(rel.data, m))
-    parts = []
-    for lo in range(0, total, _CHUNK):
-        cand = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        parts.append(cand[~_member_mask(cand, present)])
-    return Relation(rel.cols, _decode_keys(np.concatenate(parts), k, m))
+    keep = np.ones(total, dtype=bool)
+    keep[_pack(rel.data, m)] = False
+    return Relation(rel.cols, _decode_keys(np.flatnonzero(keep), k, m))
 
 
 def _anti_join(ctx: RingContext, a: Relation, b: Relation) -> Relation:
-    """Rows of a absent from b; both over identical columns."""
+    """Rows of a absent from b; both over identical columns, b's sorted."""
     if a.nrows == 0 or b.nrows == 0:
         return a
-    ka, kb = _keys(ctx.m, a.data, b.data)[0]
-    mask = ~_member_mask(ka, np.sort(kb))
-    return Relation(a.cols, np.compress(mask, a.data, axis=1))
+    (ka, kb), _, domain = _keys(ctx.m, a.data, b.data)
+    found = _lookup(kb, np.ones(kb.size, dtype=bool), ka, domain)
+    return Relation(a.cols, np.compress(found == 0, a.data, axis=1))
 
 
 def _group_drop(ctx: RingContext, rel: Relation, v: str):
@@ -336,8 +352,8 @@ def _group_drop(ctx: RingContext, rel: Relation, v: str):
     V0 = tuple(c for c in rel.cols if c != v)
     if not V0:
         return V0, _true_rel().data, np.array([rel.nrows])
-    (key,), decode = _keys(ctx.m, _columns(rel, V0))
-    uk, counts = _sorted_unique(key, counts=True)
+    (key,), decode, domain = _keys(ctx.m, _columns(rel, V0))
+    uk, counts = _sorted_unique(key, counts=True, domain=domain)
     return V0, decode(uk), counts
 
 
@@ -461,15 +477,11 @@ def _univar_rel(ctx: RingContext, p: _Plan) -> Relation:
         _charge(ctx, m // _SCAN_DISCOUNT + 1, node)
         values = eval_mod_array(coeffs, np.arange(m, dtype=np.int64), m)
         hits = np.flatnonzero(values == 0)
+    rel = Relation(atom.fv, hits.reshape(1, -1))
     if negate:
-        keep = np.ones(m, dtype=bool)
-        keep[hits] = False
-        _charge(ctx, m, node)
-        rows = np.arange(m, dtype=np.int64)[keep]
-    else:
-        _charge(ctx, len(hits), node)
-        rows = hits
-    return Relation(atom.fv, rows.reshape(1, -1))
+        return _complement(ctx, rel, node)
+    _charge(ctx, len(hits), node)
+    return rel
 
 
 def _pair_rel(ctx: RingContext, p: _Plan) -> Relation:
@@ -658,11 +670,11 @@ def _times_two_var(ctx: RingContext, p: _Plan) -> Relation:
         # a*b = a: a = 0 with b free, or b = 1 with a free
         _charge(ctx, 2 * m, node)
         aa = np.concatenate([np.zeros(m, np.int64), grid])
-        bb = np.concatenate([grid, np.ones(m, np.int64)])
+        bb = np.concatenate([grid, np.full(m, 1 % m, np.int64)])
     else:
         # sy.name == sz.name: a*b = b
         _charge(ctx, 2 * m, node)
-        aa = np.concatenate([grid, np.ones(m, np.int64)])
+        aa = np.concatenate([grid, np.full(m, 1 % m, np.int64)])
         bb = np.concatenate([np.zeros(m, np.int64), grid])
     rel = _make_rel((sx.name, sy.name), [aa, bb])
     return Relation(rel.cols, _dedup(rel.data, m))
@@ -714,16 +726,10 @@ def _count_filter(ctx: RingContext, notq: _Plan) -> _Filter:
             cnt = np.full(n, counts[0], dtype=np.int64)
         elif not counts.size:
             cnt = np.zeros(n, dtype=np.int64)
-        elif m ** len(V0) <= n:
-            # a table with a slot for every group key is no longer than the rows
-            table = np.zeros(m ** len(V0), dtype=np.int64)
-            table[_pack(groups, m)] = counts
-            cnt = table[_pack([cols[c] for c in V0], m)]
         else:
             # _group_drop sorts the groups, so their keys come sorted too
-            gkeys, keys = _keys(m, groups, [cols[c] for c in V0])[0]
-            idx = np.minimum(np.searchsorted(gkeys, keys), gkeys.size - 1)
-            cnt = np.where(gkeys[idx] == keys, counts[idx], 0)
+            (gkeys, keys), _, domain = _keys(m, groups, [cols[c] for c in V0])
+            cnt = _lookup(gkeys, counts, keys, domain)
         return ~_holds(q, cnt, m, cols)
 
     return _Filter(frozenset(notq.fv), fn)
@@ -985,11 +991,12 @@ def _compile(formula: Formula) -> _Plan:
 
 def _share(plan: _Plan) -> None:
     """Give share = (the first node of its class, its free variables in the
-    class's order) to each node with free variables, other than an atom or
-    a negated atom, whose class of alpha-equivalent subformulas has two
-    nodes or more.  A class is interned from the classes of its operands
-    and where their free variables go, so the walk is linear in the
-    formula."""
+    class's order) to each node with free variables, other than an atom or a
+    negated atom, whose class of alpha-equivalent subformulas has two nodes
+    or more evaluated for one kind of _memo entry: not below a hit, which
+    all nodes of a shared class and kind but one are.  Classes are interned
+    from those of their operands and where their free variables go, so the
+    walk is linear in the formula, and outer classes get higher numbers."""
     classes: dict[tuple, int] = {}
     known: dict[int, tuple[int, tuple[str, ...]]] = {}
 
@@ -1013,18 +1020,26 @@ def _share(plan: _Plan) -> None:
             known[id(g)] = classes.setdefault(tuple(shape), len(classes)), tuple(names)
         return known[id(g)]
 
-    members: dict[int, list] = {}
-    stack = [plan]
+    # (class, kind) -> (node, names, the flag of the nearest interned node
+    # above, its own flag) of each, a flag set where nothing below is evaluated
+    members: dict[tuple, list] = {}
+    stack: list = [(plan, [False], "relation")]
     while stack:
-        p = stack.pop()
-        stack.extend(p.kids)
+        p, up, kind = stack.pop()
         atom = p.node.body if isinstance(p.node, Not) else p.node
         if p.fv and not isinstance(atom, _ATOMS):
             cls, names = canon(p.node)
-            members.setdefault(cls, []).append((p, names))
-    for nodes in members.values():
-        if len(nodes) > 1:
-            for p, names in nodes:
+            up, above = [False], up  # below p, p's flag is the one above
+            members.setdefault((cls, kind), []).append((p, names, above, up))
+        counts = [c for step, c in p.steps if step == "count"]
+        # a count filter evaluates its quantifier's body, not the quantifier
+        for k in p.kids[0].kids if kind == "count" else p.kids:
+            stack.append((k, up, "count" if k in counts else "relation"))
+    for _, nodes in sorted(members.items(), reverse=True):  # outer classes first
+        evaluated = [flag for *_, up, flag in nodes if not up[0]]
+        for p, names, up, flag in nodes:
+            flag[0] = up[0] or flag is not evaluated[0]  # unevaluated, or a hit
+            if len(evaluated) > 1:
                 p.share = nodes[0][0], names
 
 

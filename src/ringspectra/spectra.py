@@ -235,8 +235,9 @@ def spectrum(
             chunks = np.array_split(primes, 4 * workers)
             jobs = [(s, chunk, tuple_budget) for chunk in chunks if len(chunk)]
             with get_context("fork").Pool(workers) as pool:
-                parts = pool.map(_eval_chunk, jobs)
-            bits = [b for part in parts for b in part]
+                # in chunk order, so an error names the first failing prime
+                # at any worker count
+                bits = [b for part in pool.imap(_eval_chunk, jobs) for b in part]
     except RecursionError:
         raise fastengine._too_deep() from None
     return Spectrum(bound, np.asarray(bits, dtype=bool))

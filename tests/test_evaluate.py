@@ -1,6 +1,7 @@
 """Evaluator semantics: reference engine examples, and agreement between
 the naive and relational engines on random sentences."""
 
+import collections
 import dataclasses
 import gc
 import io
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from ringspectra import blockengine, evaluate, fastengine, verify
-from ringspectra.constructions import FAMILIES, psi_sentence
+from ringspectra.constructions import FAMILIES, prime_sentence, psi_sentence
 from ringspectra.errors import (
     EngineDisagreementError,
     InvariantError,
@@ -419,6 +420,30 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A x. E[1,2] y. TIMES(x, y, x)",
+        "A x. E[1,2] y. TIMES(y, x, x)",
+        "E x. E[1,2] y. TIMES(x, y, y)",
+    ],
+)
+def test_times_with_a_repeated_name_agrees_at_every_modulus(monkeypatch, text):
+    # a*b = a and a*b = b hold at b = 1, or a = 1, which is 0 at m = 1
+    s = parse_sentence(text)
+    calls = _counting(monkeypatch, fastengine, "times pair")
+    got = [eval_sentence(s, m, engine="both") for m in range(1, 13)]
+    assert got[0] is True and calls
+
+
+def test_prime_near_a_million_takes_the_bitmap_complement(monkeypatch):
+    s = prime_sentence()
+    calls = _counting(monkeypatch, fastengine, "_complement")
+    assert eval_sentence(s, 1_000_003) is True
+    assert eval_sentence(s, 10**6) is False
+    assert {ctx.m for ctx, *_ in calls} == {1_000_003, 10**6}
+
+
 def test_wide_negated_quantifier_takes_the_complement(monkeypatch):
     # the negated E e. has four free variables, so its relation is the
     # complement of a four-column relation
@@ -513,23 +538,54 @@ def test_kernel_branches_agree_with_the_reference(monkeypatch, strategy, text, c
 def test_count_filter_finds_the_groups_of_a_body_without_its_variable(monkeypatch):
     # E w. binds no variable of its body, whose rows are then its groups; x
     # enters the body by extension after y, so the rows come out of key
-    # order, and with fewer rows to test than m**2 group keys the row test
-    # looks them up in sorted order
+    # order.  The row test looks them up in a table of the m**2 group keys
+    # up to m = 32, and from m = 33 on, where that is more than _DENSE slots
+    # a row plus _DENSE_SLACK, in sorted order
     s = parse_sentence(
         "E x. E y. ((x = x) & ((y * y) = 1) & (x < 3)"
         " & !(E w. (((y * y) = 1) & (x < 3))))"
     )
-    lookups = []
-    real_searchsorted = np.searchsorted
+    lookups = []  # the domain of each of the row test's lookups, or None
+    real_lookup = fastengine._lookup
 
-    def searchsorted(*args, **kwargs):
+    def lookup(table_keys, values, keys, domain):
         if sys._getframe(1).f_code.co_name == "fn":
-            lookups.append(args)
-        return real_searchsorted(*args, **kwargs)
+            lookups.append(domain)
+        return real_lookup(table_keys, values, keys, domain)
 
-    monkeypatch.setattr(np, "searchsorted", searchsorted)
-    assert [eval_sentence(s, m, engine="both") for m in range(3, 13)] == [False] * 10
-    assert lookups
+    monkeypatch.setattr(fastengine, "_lookup", lookup)
+    moduli = [*range(3, 13), 37, 41]
+    assert [eval_sentence(s, m, engine="both") for m in moduli] == [False] * 12
+    assert None in lookups and set(lookups) != {None}
+
+
+@pytest.mark.parametrize(
+    "q", ["E[1,2] w. ((w * w) = (x + y))", "M w. (w < (x + y))", "C>=(y) w. ((w * x) = y)"]
+)
+def test_count_filter_counts_alike_by_table_and_by_search(monkeypatch, q):
+    # a negated counting quantifier in a conjunction is a count filter, whose
+    # witness counts decide, not only whether there is one; it looks them up
+    # in a table over the dense group keys, and then, with no key dense, by
+    # binary search
+    f = parse_formula(f"(x = x) & (y = y) & !({q})")
+    assert [kind for kind, _ in fastengine._plan(f).steps].count("count") == 1
+    branches = set()  # whether each lookup of the row test was by search
+    real_lookup = fastengine._lookup
+
+    def lookup(table_keys, values, keys, domain):
+        if sys._getframe(1).f_code.co_name == "fn":
+            branches.add(domain is None)
+        return real_lookup(table_keys, values, keys, domain)
+
+    monkeypatch.setattr(fastengine, "_lookup", lookup)
+    for dense, slack in ((fastengine._DENSE, fastengine._DENSE_SLACK), (0, 0)):
+        monkeypatch.setattr(fastengine, "_DENSE", dense)
+        monkeypatch.setattr(fastengine, "_DENSE_SLACK", slack)
+        for m in range(1, 13):
+            rel = eval_fast(RingContext(m), f)
+            want = naive_rows(RingContext(m), f, rel.cols, m**2)
+            assert rel.rows.tolist() == [list(row) for row in want], m
+    assert branches == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -562,17 +618,28 @@ def test_univariate_equation_is_solved_by_horner(monkeypatch, text, pattern, neg
         np.full(50, -3, dtype=np.int64),
         np.random.default_rng(6).integers(-(2**62), 2**62, 1000),
         np.random.default_rng(7).integers(0, 40, 1000),
+        np.zeros(3, dtype=np.int64),
+        np.array([0, 9, 9, 0, 4], dtype=np.int64),
     ],
 )
 def test_sorted_unique_matches_numpy_unique(keys):
-    got = fastengine._sorted_unique(keys)
+    # by a sort, and where the keys are not negative by a slot for each key
+    # of a domain: the smallest one that holds them, so that keys sit at 0
+    # and at its last slot, with D = 1 for zeros and for no keys, and one
+    # two slots wider
+    domains = [None]
+    if not (keys < 0).any():
+        top = int(keys.max()) + 1 if keys.size else 1
+        domains += [top, top + 2]
     want = np.unique(keys)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    got_keys, got_counts = fastengine._sorted_unique(keys, counts=True)
     want_keys, want_counts = np.unique(keys, return_counts=True)
-    assert np.array_equal(got_keys, want_keys)
-    assert got_counts.dtype == want_counts.dtype
-    assert np.array_equal(got_counts, want_counts)
+    for domain in domains:
+        got = fastengine._sorted_unique(keys, domain=domain)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        got_keys, got_counts = fastengine._sorted_unique(keys, counts=True, domain=domain)
+        assert np.array_equal(got_keys, want_keys)
+        assert got_counts.dtype == want_counts.dtype
+        assert np.array_equal(got_counts, want_counts)
 
 
 def test_group_drop_matches_numpy_unique():
@@ -656,7 +723,7 @@ def test_small_chunks_and_pack_limit_keep_every_relation(monkeypatch):
     # metamorphic test: with 7-cell chunks and packed keys capped at 2^3,
     # the multi-chunk loops, and from m = 8 on the wide-key fallback of
     # every key consumer, run on small moduli, and must give the relations
-    # the default sizes give
+    # the default sizes give, where most keys are dense
     misshapen = []
     real_eval_rel = fastengine.eval_rel
 
@@ -669,11 +736,28 @@ def test_small_chunks_and_pack_limit_keep_every_relation(monkeypatch):
             and data.ndim == 2
             and data.shape[0] == len(rel.cols)
             and rel.cols == p.fv  # which is sorted
+            and (data.size == 0 or 0 <= data.min() <= data.max() < ctx.m)
         ):
             misshapen.append((formula_to_text(p.node), ctx.m))
         return rel
 
     monkeypatch.setattr(fastengine, "eval_rel", eval_rel)
+    # (caller, branch) of every key consumer's call of _keys: "dense" where
+    # it addresses an array over the key domain, else "sort"; and the
+    # callers that asked for wide keys
+    branches = collections.Counter()
+    wide = set()
+    real_keys = fastengine._keys
+
+    def keys(m, *blocks):
+        out = real_keys(m, *blocks)
+        caller = sys._getframe(1).f_code.co_name
+        branches[caller, "sort" if out[2] is None else "dense"] += 1
+        if m ** len(blocks[0]) >= fastengine._PACK_LIMIT:
+            wide.add(caller)
+        return out
+
+    monkeypatch.setattr(fastengine, "_keys", keys)
     cases = _path_cases()
     want = [_fast_outcome(s, m) for s, m in cases]
 
@@ -696,38 +780,15 @@ def test_small_chunks_and_pack_limit_keep_every_relation(monkeypatch):
                 monkeypatch.setitem(fastengine._KERNELS, tag, wrapper)
 
     count_chunked("_grid_rel", lambda p: len(fastengine._atom_of(p)[0].fv))
-    count_chunked("_complement", lambda rel: len(rel.cols))
-    wide = set()  # the functions that asked _keys for wide keys
-    real_unique = np.unique
-    count_filter = {"table": 0, "sorted": 0}  # the branches of its row test
-    real_pack, real_searchsorted = fastengine._pack, np.searchsorted
-
-    def pack(*args):
-        if sys._getframe(1).f_code.co_name == "fn":
-            count_filter["table"] += 1
-        return real_pack(*args)
-
-    def searchsorted(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "fn":
-            count_filter["sorted"] += 1
-        return real_searchsorted(*args, **kwargs)
-
-    monkeypatch.setattr(fastengine, "_pack", pack)
-    monkeypatch.setattr(np, "searchsorted", searchsorted)
-
-    def unique(*args, **kwargs):
-        if kwargs.get("axis") is not None:
-            wide.add(sys._getframe(2).f_code.co_name)
-        return real_unique(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", unique)
     got = [_fast_outcome(s, m) for s, m in cases]
     assert [case for case, g, w in zip(cases, got, want) if g != w] == []
     assert misshapen == []
-    assert chunked == {"_grid_rel", "_complement"}
+    assert chunked == {"_grid_rel"}
     # fn is the count filter's row test
-    assert wide == {"_dedup", "_group_drop", "_join", "_anti_join", "fn"}
-    assert count_filter["table"] > 0 and count_filter["sorted"] > 0
+    consumers = {"_dedup", "_group_drop", "_join", "_anti_join", "fn"}
+    assert wide == consumers
+    for caller in consumers - {"_join"}:  # a join only sorts
+        assert branches[caller, "dense"] > 0 and branches[caller, "sort"] > 0, caller
 
 
 def test_gcd_with_matches_numpy_gcd():
@@ -874,10 +935,15 @@ def _recording_memo(monkeypatch):
 
 
 def test_psi_evaluates_each_shared_class_once_per_modulus(monkeypatch):
-    # "V is a power of 3" four times, "the square of a power of 3" twice
+    # "V is a power of 3" four times, "the square of a power of 3" twice.
+    # Of the 28 nodes whose class occurs twice, 9 are shared: the two
+    # squares, the three powers that are count filters (one inside each
+    # square), and the four bodies of the powers.  The power that is a
+    # relation is alone of its kind, and the rest lie inside the square
+    # that is a hit, or are the quantifiers of count filters
     s = psi_sentence(3)
     nodes = _plan_nodes(fastengine._plan(s))
-    assert sum(p.share is not None for p in nodes) == 28
+    assert sum(p.share is not None for p in nodes) == 9
     fields = {f.name for f in dataclasses.fields(fastengine._Plan)}
     # (context, kind, node, entries cached) of each kernel call and count
     # grouping
@@ -901,12 +967,25 @@ def test_psi_evaluates_each_shared_class_once_per_modulus(monkeypatch):
         return real_group_drop(ctx, rel, v)
 
     monkeypatch.setattr(fastengine, "_group_drop", group_drop)
+    read = set()  # the (kind, class) of every cache hit
+    real_memo = fastengine._memo
+
+    def memo(ctx, p, kind, compute):
+        if (kind, p.share[0]) in ctx.shared:
+            read.add((kind, p.share[0]))
+        return real_memo(ctx, p, kind, compute)
+
+    monkeypatch.setattr(fastengine, "_memo", memo)
     runs = []
-    for m in (101, 101, 257):  # 9^2 < 101 < 3 * 9^2, and 3^5 < 257 < 9^3
+    # 9^2 < 101 < 3 * 9^2, 3^5 < 257 < 9^3, and 6229 is in the benchmark
+    for m in (101, 101, 257, 6229):
         calls.clear()
+        read.clear()
         assert eval_sentence(s, m) is (m == 101)
         contexts = {id(ctx) for ctx, _, _, _ in calls}
         assert len(contexts) == 1 and calls[0][3] == 0  # it starts empty
+        # every entry cached is read
+        assert set(calls[0][0].shared) == read and len(read) == 3
         per_class = {}
         for ctx, kind, p, _ in calls:
             if p.share is not None:
@@ -933,39 +1012,44 @@ def test_renamed_relations_and_count_groups_reverse_their_columns(monkeypatch):
             f" & (E c. E d. ({conjunct.format(u='d', v='c')} & (d < c)))"
         )
 
-    # each twin's count filter tests fewer rows than m^2 group keys, so it
-    # looks its groups up in sorted order; without the count filters the
-    # block engine, which shares nothing, takes the sweep
+    # each twin's count filter has about m^2 / 2 groups, dense keys, so it
+    # looks them up in a table over the key domain; a second pass with no
+    # key dense looks them up in sorted order.  Without the count filters
+    # the block engine, which shares nothing, takes the sweep
     s = parse_sentence(twins(f"{P} & {C}"))
     block = parse_sentence(twins(P))
     assert blockengine.covers(fastengine._plan(block))
     hits = _recording_memo(monkeypatch)
-    lookups = []
-    real_searchsorted = np.searchsorted
+    lookups = set()  # (names, branch) of the count filters' lookups
+    real_lookup = fastengine._lookup
 
-    def searchsorted(*args, **kwargs):
+    def lookup(table_keys, values, keys, domain):
         caller = sys._getframe(1)
         if caller.f_code.co_name == "fn":
-            lookups.append([c.split("'")[0] for c in caller.f_locals["V0"]])
-        return real_searchsorted(*args, **kwargs)
+            names = tuple(c.split("'")[0] for c in caller.f_locals["V0"])
+            lookups.add((names, "sort" if domain is None else "dense"))
+        return real_lookup(table_keys, values, keys, domain)
 
-    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    monkeypatch.setattr(fastengine, "_lookup", lookup)
     primes = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
-    for sentence in (s, block):
-        got = [eval_sentence(sentence, m, engine="both") for m in range(1, 13)]
-        assert True in got and False in got
-        bits = spectrum(sentence, 59, workers=1).bits.tolist()
-        assert bits == [eval_sentence(sentence, p) for p in primes]
-    # the open conjunction's whole relation, against the reference's rows
     f = parse_formula(" & ".join(c.format(u=u, v=v) for c in (P, C) for u, v in ("ab", "dc")))
-    for m in range(1, 9):
-        rel = eval_fast(RingContext(m), f)
-        assert rel.cols == ("a", "b", "c", "d")
-        want = naive_rows(RingContext(m), f, rel.cols, m**4)
-        assert rel.rows.tolist() == [list(row) for row in want]
+    for dense, slack in ((fastengine._DENSE, fastengine._DENSE_SLACK), (0, 0)):
+        monkeypatch.setattr(fastengine, "_DENSE", dense)
+        monkeypatch.setattr(fastengine, "_DENSE_SLACK", slack)
+        for sentence in (s, block):
+            got = [eval_sentence(sentence, m, engine="both") for m in range(1, 13)]
+            assert True in got and False in got
+            bits = spectrum(sentence, 59, workers=1).bits.tolist()
+            assert bits == [eval_sentence(sentence, p) for p in primes]
+        # the open conjunction's whole relation, against the reference's rows
+        for m in range(1, 9):
+            rel = eval_fast(RingContext(m), f)
+            assert rel.cols == ("a", "b", "c", "d")
+            want = naive_rows(RingContext(m), f, rel.cols, m**4)
+            assert rel.rows.tolist() == [list(row) for row in want]
     for kind in ("relation", "count"):
         assert any(k == kind and names != sorted(names) for k, names in hits)
-    assert ["d", "c"] in lookups
+    assert {(("d", "c"), "dense"), (("d", "c"), "sort")} <= lookups
 
 
 def test_engines_agree_where_twins_share_their_relations(monkeypatch):

@@ -195,6 +195,18 @@ def test_spectrum_error_names_offending_prime():
     assert "at prime" in str(exc.value)
 
 
+def test_spectrum_error_names_the_same_prime_at_any_worker_count():
+    # every chunk from the one holding 449 on fails; the error raised is
+    # that of the first chunk in prime order, not of the first to fail
+    s = parse_sentence("E x. E y. !((x + (2 * y)) = 1)")
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(ResourceLimitError) as exc:
+            spectrum(s, 3000, workers=workers, tuple_budget=200_000)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and messages[0].endswith("(at prime 449)")
+
+
 def test_validation_errors():
     with pytest.raises(DegenerateInputError):
         poly_spectrum(IntPolynomial((7,)), 100)
