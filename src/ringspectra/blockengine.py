@@ -48,6 +48,7 @@ from .fastengine import (
     _project,
     _snip,
     _univar_coeffs,
+    _values,
 )
 from .logic import Formula
 
@@ -100,6 +101,14 @@ def _lane_coeffs(poly: dict, p: np.ndarray) -> list[np.ndarray]:
     """Ascending coefficients of a one-variable polynomial, each reduced
     mod every lane's prime."""
     return [reduce_mod(c, p) for c in _univar_coeffs(poly)]
+
+
+def _lane_values(blk: _Block, poly: dict, lane: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A one-variable polynomial's values at the rows (lane, x), by _values;
+    a constant is reduced once per lane and gathered."""
+    if poly.keys() <= {(0,)}:
+        return reduce_mod(poly.get((0,), 0), blk.p)[lane]
+    return _values(poly, x, blk.p[lane])
 
 
 def _block_extend(blk: _Block, rel: Relation, var: str, node: Formula) -> Relation:
@@ -198,14 +207,16 @@ def _block_linear_const(blk: _Block, lanes: np.ndarray, atom: _Plan) -> Relation
     grid = _block_extend(blk, _lane_set(lanes), u, node)
     lane, uu = grid.data
     m = p[lane]
-    rhs = -eval_mod_array(_univar_coeffs(b_poly), uu, m) % m
-    rel = _make_rel((_LANE, u, v), [lane, uu, rhs * blk.inverse(a_poly[(0,)])[lane] % m])
+    bv = _lane_values(blk, b_poly, lane, uu)
+    # v = b(u) * (-1/a), the sign folded into each lane's inverse
+    neg_inv = (p - blk.inverse(a_poly[(0,)])) % p
+    rel = _make_rel((_LANE, u, v), [lane, uu, bv * neg_inv[lane] % m])
     free = lanes[a[lanes] == 0]
     if free.size:
         # alone, such a prime may scan the grid of (u, v)
         _charge(blk.ctx, int(p[free].max()) ** 2, node)
         solved = a[lane] != 0
-        roots = np.compress(~solved & (rhs == 0), grid.data, axis=1)
+        roots = np.compress(~solved & (bv == 0), grid.data, axis=1)
         free_v = _block_extend(blk, Relation(grid.cols, roots), v, node)
         data = np.concatenate([np.compress(solved, rel.data, axis=1), free_v.data], axis=1)
         rel = Relation(rel.cols, data)
@@ -225,9 +236,9 @@ def _block_linear_exists(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
         # alone, such a prime evaluates the equation itself
         _charge(blk.ctx, int(blk.p[vanish].max()) ** 2, p.node)
     grid = _block_extend(blk, _lane_set(lanes), u, p.node)
-    x, m = grid.data[1], blk.p[grid.data[0]]
-    solvable = eval_mod_array(_univar_coeffs(a_poly), x, m) != 0
-    solvable |= eval_mod_array(_univar_coeffs(b_poly), x, m) == 0
+    lane, x = grid.data
+    solvable = _lane_values(blk, a_poly, lane, x) != 0
+    solvable |= _lane_values(blk, b_poly, lane, x) == 0
     return Relation(grid.cols, np.compress(solvable, grid.data, axis=1))
 
 

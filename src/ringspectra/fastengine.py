@@ -12,14 +12,16 @@ extensions and selections gather along its second axis.  Conjunction joins
 relations and folds comparison atoms in as vectorized filters; quantifiers
 aggregate per-group witness counts.  Atoms are solved analytically where
 possible (linear congruences, divisor tables for the integer-product
-predicate); a one-variable equation of higher degree is solved by Horner
-evaluation over all residues, and other atoms by vectorized scans of their
-assignment grid, which _decode_keys enumerates.  Dedup, grouping, joins and
-the count filter compare assignments by one order-preserving int64 key
-(_keys): base-m digits while they fit, ranks from np.unique beyond.  Where
-m**k, the number of keys, is at most _DENSE a row plus _DENSE_SLACK, dedup,
-grouping, the anti-join and the count filter index an array with a slot per
-key, as the complement always does, and elsewhere sort or search the keys.
+predicate); a one-variable equation of higher degree takes its roots from
+gcd(f, x^m - x) at a prime m above arith.ROOT_SCAN_LIMIT and from Horner
+evaluation over all residues elsewhere, and other atoms are solved by
+vectorized scans of their assignment grid, which _decode_keys enumerates.
+Dedup, grouping, joins and the count filter compare assignments by one
+order-preserving int64 key (_keys): base-m digits while they fit, ranks from
+np.unique beyond.  Where m**k, the number of keys, is at most _DENSE a row
+plus _DENSE_SLACK, dedup, grouping, the anti-join and the count filter index
+an array with a slot per key, as the complement always does, and elsewhere
+sort or search the keys.
 
 _compile also tags every plan node with its strategy (_tag), once per
 sentence, and eval_rel runs the kernel of that tag in _KERNELS.  A sweep
@@ -57,7 +59,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .arith import eval_mod_array, reduce_mod
+from .arith import ROOT_SCAN_LIMIT, IntPolynomial, eval_mod_array, poly_roots_mod, reduce_mod
 from .errors import InvariantError, ResourceLimitError
 from .evaluate import RingContext
 from .logic import (
@@ -444,6 +446,25 @@ def _univar_coeffs(poly: dict) -> list[int]:
     return [poly.get((e,), 0) for e in range(deg + 1)]
 
 
+def _values(poly: dict, x: np.ndarray, m):
+    """A one-variable polynomial's values at x in [0, m), mod m: a modulus,
+    or an array of one per x.  A constant is its reduced value, a scalar for
+    a scalar m, and the polynomial x is x itself; only the others pay for a
+    Horner pass."""
+    if poly.keys() <= {(0,)}:
+        return reduce_mod(poly.get((0,), 0), m)
+    if poly == {(1,): 1}:
+        return x
+    return eval_mod_array(_univar_coeffs(poly), x, m)
+
+
+def _divisors(m: int) -> np.ndarray:
+    """The divisors of m >= 1, ascending; m is prime when there are two."""
+    d = np.arange(1, math.isqrt(m) + 1)
+    small = d[m % d == 0]
+    return np.union1d(small, m // small)
+
+
 def _linear_solutions(a: int, rhs: np.ndarray, m: int):
     """Per-row solutions v of a*v = rhs (mod m) for scalar a: returns
     (mask of solvable rows, base solution, step, count g)."""
@@ -456,7 +477,12 @@ def _linear_solutions(a: int, rhs: np.ndarray, m: int):
 
 
 def _univar_rel(ctx: RingContext, p: _Plan) -> Relation:
-    """A one-variable equation, by the degree of its polynomial mod m."""
+    """A one-variable equation, by the degree of its polynomial mod m: the
+    zero polynomial holds everywhere, a nonzero constant nowhere, a linear
+    one at its g solutions, and one of higher degree at the roots that
+    arith.poly_roots_mod finds by gcd(f, x^m - x) at a prime m above
+    ROOT_SCAN_LIMIT, and that Horner over all residues finds elsewhere.
+    Both charge the scan, so the budget fails at the same moduli."""
     atom, negate = _atom_of(p)
     m = ctx.m
     node = p.node
@@ -475,8 +501,11 @@ def _univar_rel(ctx: RingContext, p: _Plan) -> Relation:
             hits = np.zeros(0, dtype=np.int64)
     else:
         _charge(ctx, m // _SCAN_DISCOUNT + 1, node)
-        values = eval_mod_array(coeffs, np.arange(m, dtype=np.int64), m)
-        hits = np.flatnonzero(values == 0)
+        if m > ROOT_SCAN_LIMIT and _divisors(m).size == 2:
+            hits = np.array(poly_roots_mod(IntPolynomial(coeffs), m), dtype=np.int64)
+        else:
+            values = eval_mod_array(coeffs, np.arange(m, dtype=np.int64), m)
+            hits = np.flatnonzero(values == 0)
     rel = Relation(atom.fv, hits.reshape(1, -1))
     if negate:
         return _complement(ctx, rel, node)
@@ -521,12 +550,29 @@ def _linear_pair(poly: dict):
 
 
 def _linear_const_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
-    """Pairs (u, v) with a*v + b(u) = 0 (mod m), constant a: the g
-    solutions v of each solvable u, written straight to their rows."""
+    """Pairs (u, v) with a*v + b(u) = 0 (mod m), constant a, written straight
+    to their rows.  A unit a gives each u the one v = b(u)*c, c = -1/a mod m,
+    which is b(u) itself when c = 1; else the g = gcd(a, m) solutions of
+    each solvable u come from _linear_solutions."""
     m = ctx.m
     a = next(iter(a_poly.values())) % m
+    g = math.gcd(a, m)
+    if g == 1:
+        _charge(ctx, m, node)
+        data = np.empty((2, m), dtype=np.int64)
+        uu, vv = data if u < v else data[::-1]
+        uu[:] = np.arange(m, dtype=np.int64)
+        bv = _values(b_poly, uu, m)
+        c = -pow(a, -1, m) % m
+        if c == 1:
+            vv[:] = bv
+        else:
+            # b(u) < m <= MAX_MODULUS, so b(u)*c fits in int64
+            np.multiply(bv, c, out=vv)
+            np.remainder(vv, m, out=vv)
+        return Relation(tuple(sorted((u, v))), data)
     grid = np.arange(m, dtype=np.int64)
-    rhs = (-eval_mod_array(_univar_coeffs(b_poly), grid, m)) % m
+    rhs = np.broadcast_to(-_values(b_poly, grid, m) % m, grid.shape)
     mask, base, step, g = _linear_solutions(a, rhs, m)
     um = grid[mask]
     _charge(ctx, um.size * g, node)
@@ -566,16 +612,25 @@ def _linear_var_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
     return _make_rel((u, v), [np.concatenate(us), np.concatenate(vs)])
 
 
-def _gcd_with(values: np.ndarray, m: int) -> np.ndarray:
+def _gcd_with(values, m: int):
     """gcd(v, m) for each v in [0, m): the largest divisor of m dividing v,
     read from a table that writes each divisor d of m, in ascending order,
     to every multiple of d."""
-    d = np.arange(1, math.isqrt(m) + 1)
-    small = d[m % d == 0]
     table = np.empty(m, dtype=np.int64)
-    for div in np.union1d(small, m // small):
+    for div in _divisors(m):
         table[::div] = div
     return table[values]
+
+
+def _divides_table(G: int, m: int) -> np.ndarray:
+    """Flags over [0, m): whether gcd(x, m) divides G, a divisor of m.  Each
+    divisor of m that does not divide G clears its multiples, unless a
+    smaller one has cleared them already."""
+    ok = np.ones(m, dtype=bool)
+    for div in _divisors(m).tolist():
+        if G % div and ok[div % m]:
+            ok[::div] = False
+    return ok
 
 
 _TIMES_TABLE: dict = {"bound": 0, "rows": None}
@@ -1176,7 +1231,10 @@ def _linear_body(p: _Plan, m: int | None = None):
 
 def _exists_rel(ctx: RingContext, p: _Plan) -> Relation:
     """E v.: a gcd divisibility test over an equation in v and at most one
-    other variable that is linear in v mod m, else the body's projection."""
+    other variable u that is linear in v mod m, else the body's projection.
+    a(u)*v + b(u) = 0 is solvable where g = gcd(a(u), m) divides b(u): for
+    constants a and b, one test extended to every u; for a constant b, the
+    flag at a(u) in _divides_table over gcd(b, m); and else b(u) % g == 0."""
     m = ctx.m
     v = p.node.var
     split = _linear_body(p, m)
@@ -1184,19 +1242,19 @@ def _exists_rel(ctx: RingContext, p: _Plan) -> Relation:
         body = eval_rel(ctx, p.kids[0])
         return _project(ctx, body, tuple(c for c in body.cols if c != v))
     a_poly, b_poly = split
-    fvs = p.kids[0].fv
-    if len(fvs) == 1:
-        a = sum(c for c in a_poly.values()) % m
-        b = sum(c for c in b_poly.values()) % m
-        return _bool_rel((-b) % m % math.gcd(a, m) == 0)
-    u = fvs[1 - fvs.index(v)]
-    grid = np.arange(m, dtype=np.int64)
+    b_const = b_poly.keys() <= {(0,)}
+    if b_const and a_poly.keys() <= {(0,)}:
+        holds = b_poly.get((0,), 0) % math.gcd(a_poly[(0,)], m) == 0
+        return _extend_to(ctx, _bool_rel(holds), p.fv, p.node)
     _charge(ctx, m, p.node)
-    av = eval_mod_array(_univar_coeffs(a_poly), grid, m)
-    bv = eval_mod_array(_univar_coeffs(b_poly), grid, m)
-    g = _gcd_with(av, m)
-    mask = ((-bv) % m) % g == 0
-    return Relation((u,), grid[mask].reshape(1, -1))
+    if b_const:
+        ok = _divides_table(math.gcd(b_poly.get((0,), 0), m), m)
+        mask = ok if a_poly == {(1,): 1} else ok[_values(a_poly, np.arange(m, dtype=np.int64), m)]
+    else:
+        # g divides m, so it divides b(u) mod m as it does b(u)
+        grid = np.arange(m, dtype=np.int64)
+        mask = _values(b_poly, grid, m) % _gcd_with(_values(a_poly, grid, m), m) == 0
+    return Relation(p.fv, np.flatnonzero(mask).reshape(1, -1))
 
 
 def _mod_count_rel(ctx: RingContext, p: _Plan) -> Relation:

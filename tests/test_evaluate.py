@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import io
 import keyword
+import math
 import random
 import re
 import sys
@@ -16,14 +17,22 @@ import numpy as np
 import pytest
 
 from ringspectra import blockengine, evaluate, fastengine, verify
-from ringspectra.constructions import FAMILIES, prime_sentence, psi_sentence
+from ringspectra.arith import ROOT_SCAN_LIMIT, IntPolynomial, cyclotomic, eval_mod_array, sieve
+from ringspectra.constructions import (
+    FAMILIES,
+    _poly_equation,
+    cyclotomic_sentence,
+    power_residue_sentence,
+    prime_sentence,
+    psi_sentence,
+)
 from ringspectra.errors import (
     EngineDisagreementError,
     InvariantError,
     ResourceLimitError,
     RingSpectraError,
 )
-from ringspectra.evaluate import RingContext, eval_naive, eval_sentence, naive_rows
+from ringspectra.evaluate import MAX_MODULUS, RingContext, eval_naive, eval_sentence, naive_rows
 from ringspectra.fastengine import eval_fast, eval_fast_bool
 from ringspectra.logic import (
     Add,
@@ -608,6 +617,169 @@ def test_univariate_equation_is_solved_by_horner(monkeypatch, text, pattern, neg
     assert any(len(args[0]) >= 3 for args in horner)
     assert not grid
     assert {fastengine._atom_of(p)[1] for ctx, p in univariate} == negations
+
+
+def _linear_const_branch(ctx, a_poly, b_poly, u, v, node) -> str:
+    """Which branch _linear_const_rel takes for these arguments."""
+    m = ctx.m
+    a = next(iter(a_poly.values())) % m
+    if math.gcd(a, m) > 1:
+        return "g > 1"
+    return "c = 1" if -pow(a, -1, m) % m == 1 else "c != 1"
+
+
+def _linear_exists_branch(ctx, p) -> str:
+    """Which branch the linear exists kernel takes for a node over two
+    variables: one test for constants a and b, the flag table at u or at
+    a(u) of higher degree, or the per-row gcd."""
+    split = fastengine._linear_body(p, ctx.m)
+    if split is None:
+        return "projection"
+    a_poly, b_poly = split
+    if b_poly.keys() - {(0,)}:
+        return "per-row gcd"
+    if a_poly.keys() <= {(0,)}:
+        return "constants"
+    return "table at u" if a_poly == {(1,): 1} else "table at a(u)"
+
+
+_LINEAR_CONST_SENTENCES = [
+    "E[0,2] x. E y. ((((x * x) * x) = y) & (x < y))",  # a = -1, so c = 1
+    "E[1,3] x. E y. (((y + (x * x)) = 5) & (x < y))",  # c = -1
+    "E[1,3] x. E y. ((((2 * y) + x) = 3) & (x < y))",  # c = -1/2, or g = 2
+    "E[0,2] x. E y. ((((6 * y) + (x * x)) = 1) & (y < x))",  # g = gcd(6, m)
+]
+_LINEAR_EXISTS_SENTENCES = [
+    "A x. (!(x = 0) -> E y. ((x * y) = 1))",
+    "E[0,2] x. E y. ((x * y) = 6)",
+    "E[1,3] x. E y. ((x * y) = 6)",
+    "E[0,3] x. E y. (((x * x) * y) = 10)",
+    # a = 6x + 4 and b = -3 - 6x are constants at m = 3 and 6
+    "E[1,2] x. E y. ((((6 * x) + 4) * y) = (3 + (6 * x)))",
+    "E[0,3] x. E y. (((x * x) * y) = (x + 3))",
+]
+
+
+def test_linear_kernels_agree_with_the_reference_on_every_branch(monkeypatch):
+    # m = 1..40 takes in m = 1, primes, prime powers and composites
+    branches = collections.Counter()
+    real_const = fastengine._linear_const_rel
+    real_exists = fastengine._KERNELS["linear exists"]
+
+    def linear_const(*args):
+        branches[_linear_const_branch(*args)] += 1
+        return real_const(*args)
+
+    def linear_exists(ctx, p):
+        if len(p.kids[0].fv) == 2:
+            branches[_linear_exists_branch(ctx, p)] += 1
+        return real_exists(ctx, p)
+
+    monkeypatch.setattr(fastengine, "_linear_const_rel", linear_const)
+    monkeypatch.setitem(fastengine._KERNELS, "linear exists", linear_exists)
+    for text in _LINEAR_CONST_SENTENCES + _LINEAR_EXISTS_SENTENCES:
+        s = parse_sentence(text)
+        got = [eval_sentence(s, m, engine="both") for m in range(1, 41)]
+        assert True in got and False in got, text
+    assert branches.keys() >= {
+        "c = 1",
+        "c != 1",
+        "g > 1",
+        "constants",
+        "table at u",
+        "table at a(u)",
+        "per-row gcd",
+    }
+
+
+def _root_finders(monkeypatch):
+    """Records of the fast engine's calls to the gcd root finder and to
+    Horner."""
+    return (
+        _counting(monkeypatch, fastengine, "poly_roots_mod"),
+        _counting(monkeypatch, fastengine, "eval_mod_array"),
+    )
+
+
+def test_roots_above_the_scan_limit_come_from_the_gcd(monkeypatch):
+    # each F_n at the least prime above ROOT_SCAN_LIMIT that is 1 mod n,
+    # where it has roots, and those of degree 4 or less also at one where it
+    # has none; a root-free F_19 costs the reference 0.8 s a sentence there
+    gcd, horner = _root_finders(monkeypatch)
+    primes = [int(p) for p in sieve(110_000).primes if p > ROOT_SCAN_LIMIT]
+    for n in range(2, 21):
+        has_root = cyclotomic_sentence(n)
+        no_root = Forall("x", Not(has_root.body))
+        cases = [next(p for p in primes if p % n == 1)]
+        if 2 < n and len(cyclotomic(n).coeffs) <= 5:
+            cases.append(next(p for p in primes if p % n != 1))
+        for p in cases:
+            want = p % n == 1
+            assert eval_sentence(has_root, p, engine="both") is want
+            assert eval_sentence(no_root, p, engine="both") is not want
+    degrees = {len(f.coeffs) - 1 for f, p in gcd}
+    assert degrees == {len(cyclotomic(n).coeffs) - 1 for n in range(3, 21)}
+    assert not any(len(coeffs) >= 3 for coeffs, *_ in horner)
+
+
+@pytest.mark.parametrize("m", [10**6, 999_999])
+def test_composite_moduli_above_the_scan_limit_take_horner(monkeypatch, m):
+    gcd, horner = _root_finders(monkeypatch)
+    f = parse_formula("((((x * x) * x) + (5 * x)) + 6) = (x * x)")
+    rel = eval_fast(RingContext(m), f)
+    # x^3 - x^2 + 5x + 6, each step reduced
+    x = np.arange(m, dtype=np.int64)
+    acc = np.zeros(m, dtype=np.int64)
+    for c in (1, -1, 5, 6):
+        acc = (acc * x + c) % m
+    assert rel.rows[:, 0].tolist() == np.flatnonzero(acc == 0).tolist()
+    assert not gcd
+    assert any(len(coeffs) == 4 for coeffs, *_ in horner)
+
+
+def test_univariate_roots_near_the_modulus_cap():
+    # roots from the gcd at three primes near MAX_MODULUS.  A full Horner
+    # scan there costs about 25 ms a degree, so the cyclotomic polynomials
+    # are checked against their closed form instead: F_n, of degree phi(n),
+    # has phi(n) roots where n divides p - 1 and none elsewhere, and
+    # phi(n) distinct verified roots are all a degree-phi(n) polynomial has.
+    # A seeded random polynomial of low degree is scanned in full at each.
+    table = sieve(MAX_MODULUS)
+    primes = [int(p) for p in table.primes[-300:] if p % 12 == 1][-3:]
+    assert len(primes) == 3
+    rng = random.Random(20261019)
+
+    def roots(coeffs, p):
+        plan = fastengine._plan(_poly_equation(IntPolynomial(coeffs), "x"))
+        return fastengine._univar_rel(RingContext(p), plan).rows[:, 0].tolist()
+
+    for p in primes:
+        assert p > ROOT_SCAN_LIMIT
+        for n in range(2, 21):
+            f = cyclotomic(n)
+            got = roots(f.coeffs, p)
+            want = len(f.coeffs) - 1 if (p - 1) % n == 0 else 0
+            assert len(got) == len(set(got)) == want, (n, p)
+            assert got == sorted(got) and all(f(r) % p == 0 for r in got), (n, p)
+        coeffs = [rng.randrange(-(10**9), 10**9) for _ in range(rng.randrange(3, 6))]
+        values = eval_mod_array(coeffs, np.arange(p, dtype=np.int64), p)
+        assert roots(coeffs, p) == np.flatnonzero(values == 0).tolist(), (coeffs, p)
+
+
+@pytest.mark.parametrize("factors", [(4_999_999,), (13, 384_589)], ids=["prime", "composite"])
+def test_prime_and_power_residue_sentences_at_the_modulus_cap(factors):
+    # 4999999 is prime and 4 mod 9, a member; 4999657 = 13 * 384589, whose
+    # factors are primes 1 mod 3.  At this size x^3 needs a reduction
+    # inside Horner.
+    m = math.prod(factors)
+    assert m <= MAX_MODULUS and all(sieve(q).flags[q] for q in factors)
+    assert eval_sentence(prime_sentence(), m) is (len(factors) == 1)
+    # F_3 has a root mod each prime 1 mod 3, and Z_q has 1 + (q - 1)/3
+    # cubes, so the nonzero cubes of Z_m number their product less one,
+    # which must be 1 mod 3
+    assert all(q % 3 == 1 for q in factors)
+    cubes = math.prod(1 + (q - 1) // 3 for q in factors)
+    assert eval_sentence(power_residue_sentence(3, 3, 1), m) is ((cubes - 1) % 3 == 1)
 
 
 @pytest.mark.parametrize(
