@@ -10,18 +10,19 @@ variables.  A relation is its columns: one int64 array of shape
 (variables, assignments), which filters read row by row and which joins,
 extensions and selections gather along its second axis.  Conjunction joins
 relations and folds comparison atoms in as vectorized filters; quantifiers
-aggregate per-group witness counts.  Atoms are solved analytically where
-possible (linear congruences, divisor tables for the integer-product
-predicate); a one-variable equation of higher degree takes its roots from
-gcd(f, x^m - x) at a prime m above arith.ROOT_SCAN_LIMIT and from Horner
-evaluation over all residues elsewhere, and other atoms are solved by
-vectorized scans of their assignment grid, which _decode_keys enumerates.
-Dedup, grouping, joins and the count filter compare assignments by one
-order-preserving int64 key (_keys): base-m digits while they fit, ranks from
-np.unique beyond.  Where m**k, the number of keys, is at most _DENSE a row
-plus _DENSE_SLACK, dedup, grouping, the anti-join and the count filter index
-an array with a slot per key, as the complement always does, and elsewhere
-sort or search the keys.
+aggregate per-group witness counts, and C>=(t) adds the rows where t = 0.
+Atoms are solved analytically where possible: a linear congruence, with a
+constant or a per-row coefficient, for all its rows at once, and the
+integer-product predicate from divisor tables.  A one-variable equation of
+higher degree takes its roots from gcd(f, x^m - x) at a prime m above
+arith.ROOT_SCAN_LIMIT and from Horner evaluation over all residues
+elsewhere, and other atoms are solved by vectorized scans of their
+assignment grid, which _decode_keys enumerates.  Dedup, grouping, joins and
+the count filter compare assignments by one order-preserving int64 key
+(_keys): base-m digits while they fit, ranks from np.unique beyond.  Where
+m**k, the number of keys, is at most _DENSE a row plus _DENSE_SLACK, dedup,
+grouping and the count filter index an array with a slot per key, as the
+complement always does, and elsewhere sort or search the keys.
 
 _compile also tags every plan node with its strategy (_tag), once per
 sentence, and eval_rel runs the kernel of that tag in _KERNELS.  A sweep
@@ -92,7 +93,6 @@ _SCAN_DISCOUNT = 64
 _CHUNK = 1 << 20
 # an array of m**k slots beats sorting n keys up to about 4n slots, or 1024
 _DENSE, _DENSE_SLACK = 4, 1024
-_LINEAR_LOOP_CAP = 300_000
 
 
 @dataclass(eq=False)
@@ -334,15 +334,6 @@ def _complement(ctx: RingContext, rel: Relation, node: Formula) -> Relation:
     return Relation(rel.cols, _decode_keys(np.flatnonzero(keep), k, m))
 
 
-def _anti_join(ctx: RingContext, a: Relation, b: Relation) -> Relation:
-    """Rows of a absent from b; both over identical columns, b's sorted."""
-    if a.nrows == 0 or b.nrows == 0:
-        return a
-    (ka, kb), _, domain = _keys(ctx.m, a.data, b.data)
-    found = _lookup(kb, np.ones(kb.size, dtype=bool), ka, domain)
-    return Relation(a.cols, np.compress(found == 0, a.data, axis=1))
-
-
 def _group_drop(ctx: RingContext, rel: Relation, v: str):
     """Group assignments by all variables except v; returns (cols, groups,
     counts), groups a (len(cols), g) array in lexicographic order.
@@ -465,15 +456,38 @@ def _divisors(m: int) -> np.ndarray:
     return np.union1d(small, m // small)
 
 
-def _linear_solutions(a: int, rhs: np.ndarray, m: int):
-    """Per-row solutions v of a*v = rhs (mod m) for scalar a: returns
-    (mask of solvable rows, base solution, step, count g)."""
-    g = math.gcd(a % m, m)
+def _inverse(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a^-1 mod n for units a of each n >= 1 (0 where n = 1): the extended
+    Euclidean algorithm on all rows at once, each dropped as it ends.  Rows
+    keep s*a = r (mod n) with |s| <= n, so int32 holds s and q*s < 2n."""
+    r0, r1 = (x.astype(np.int32) for x in np.broadcast_arrays(n, a % n))
+    s0, s1 = np.zeros_like(r0), np.ones_like(r0)
+    out = np.empty_like(r0)
+    rows = np.arange(r0.size)
+    while rows.size:
+        end = r1 == 0
+        out[rows[end]] = s0[end]
+        live = np.flatnonzero(r1)  # faster to take than a mostly true mask
+        rows, r0, r1, s0, s1 = (x[live] for x in (rows, r0, r1, s0, s1))
+        q, r2 = np.divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r2, s1, s0 - q * s1
+    return out % n
+
+
+def _linear_solutions(a, rhs: np.ndarray, m: int):
+    """Per-row solutions v of a*v = rhs (mod m), for a scalar a or one a per
+    row: returns (mask of solvable rows, base solution, step m/g, count g),
+    g = gcd(a, m) a scalar or an array like a.  A scalar a takes its inverse
+    from pow, and an array from _gcd_with and _inverse; base*inverse stays
+    below m**2 < 2**45."""
+    if np.ndim(a) == 0:
+        g = math.gcd(a % m, m)
+        inv = pow((a % m) // g, -1, m // g)
+    else:
+        g = _gcd_with(a, m)
+        inv = _inverse(a // g, m // g)
     mg = m // g
-    mask = rhs % g == 0
-    inv = pow((a % m) // g, -1, mg) if mg > 1 else 0
-    base = ((rhs // g) % mg) * inv % mg if mg > 1 else rhs * 0
-    return mask, base, mg, g
+    return rhs % g == 0, (rhs // g) % mg * inv % mg, mg, g
 
 
 def _univar_rel(ctx: RingContext, p: _Plan) -> Relation:
@@ -520,8 +534,7 @@ def _pair_rel(ctx: RingContext, p: _Plan) -> Relation:
     if split is None:
         return _grid_rel(ctx, p)
     vi, a_poly, b_poly = split
-    rel = _linear_const_rel if a_poly.keys() == {(0,)} else _linear_var_rel
-    return rel(ctx, a_poly, b_poly, atom.fv[1 - vi], atom.fv[vi], p.node)
+    return _linear_rel(ctx, a_poly, b_poly, atom.fv[1 - vi], atom.fv[vi], p.node)
 
 
 def _split_linear(poly: dict, vi: int):
@@ -539,9 +552,9 @@ def _split_linear(poly: dict, vi: int):
 
 def _linear_pair(poly: dict):
     """How a two-variable equation is solved: (vi, a, b) for the first
-    variable vi of degree 1, whose pairs _linear_const_rel lists when a is
-    a constant (a single term of degree 0) and _linear_var_rel otherwise;
-    None sends it to the grid scan."""
+    variable vi of degree 1, whose pairs _linear_rel lists, or None, which
+    sends it to the grid scan.  _tag calls it "linear const" when a is a
+    constant (a single term of degree 0), which the block sweep solves."""
     for vi in (0, 1):
         split = _split_linear(poly, vi)
         if split is not None:
@@ -549,19 +562,20 @@ def _linear_pair(poly: dict):
     return None
 
 
-def _linear_const_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
-    """Pairs (u, v) with a*v + b(u) = 0 (mod m), constant a, written straight
-    to their rows.  A unit a gives each u the one v = b(u)*c, c = -1/a mod m,
-    which is b(u) itself when c = 1; else the g = gcd(a, m) solutions of
-    each solvable u come from _linear_solutions."""
+def _linear_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
+    """Pairs (u, v) with a(u)*v + b(u) = 0 (mod m), written straight to
+    their rows.  A constant unit a gives each u the one v = b(u)*c,
+    c = -1/a mod m, which is b(u) itself when c = 1.  Else each solvable u
+    has the g = gcd(a(u), m) solutions of _linear_solutions, base + k*m/g
+    for k < g, for a constant a or one a(u) per u alike."""
     m = ctx.m
-    a = next(iter(a_poly.values())) % m
-    g = math.gcd(a, m)
-    if g == 1:
+    grid = np.arange(m, dtype=np.int64)
+    a = _values(a_poly, grid, m)
+    if np.ndim(a) == 0 and math.gcd(a, m) == 1:
         _charge(ctx, m, node)
         data = np.empty((2, m), dtype=np.int64)
         uu, vv = data if u < v else data[::-1]
-        uu[:] = np.arange(m, dtype=np.int64)
+        uu[:] = grid
         bv = _values(b_poly, uu, m)
         c = -pow(a, -1, m) % m
         if c == 1:
@@ -571,45 +585,17 @@ def _linear_const_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
             np.multiply(bv, c, out=vv)
             np.remainder(vv, m, out=vv)
         return Relation(tuple(sorted((u, v))), data)
-    grid = np.arange(m, dtype=np.int64)
     rhs = np.broadcast_to(-_values(b_poly, grid, m) % m, grid.shape)
-    mask, base, step, g = _linear_solutions(a, rhs, m)
-    um = grid[mask]
-    _charge(ctx, um.size * g, node)
-    data = np.empty((2, um.size * g), dtype=np.int64)
+    mask, base, _, g = _linear_solutions(a, rhs, m)
+    g = np.broadcast_to(g, grid.shape)[mask]
+    total = int(g.sum())
+    _charge(ctx, total, node)
+    data = np.empty((2, total), dtype=np.int64)
     uu, vv = data if u < v else data[::-1]
-    uu.reshape(-1, g)[:] = um[:, None]
-    np.add(base[mask][:, None], np.arange(g, dtype=np.int64) * step, out=vv.reshape(-1, g))
+    uu[:] = np.repeat(grid[mask], g)
+    k = np.arange(total) - np.repeat(np.cumsum(g) - g, g)  # k-th solution of its u
+    vv[:] = np.repeat(base[mask], g) + k * np.repeat(m // g, g)
     return Relation(tuple(sorted((u, v))), data)
-
-
-def _linear_var_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
-    """Pairs with a(u)*v + b(u) = 0 (mod m); per-u modular solve."""
-    m = ctx.m
-    if m > _LINEAR_LOOP_CAP:
-        raise ResourceLimitError(
-            f"per-element congruence solve too large (m={m}) for: {_snip(node)}"
-        )
-    grid = np.arange(m, dtype=np.int64)
-    av = eval_mod_array(_univar_coeffs(a_poly), grid, m)
-    bv = eval_mod_array(_univar_coeffs(b_poly), grid, m)
-    rhs = (-bv) % m
-    g = _gcd_with(av, m)
-    mask = rhs % g == 0
-    _charge(ctx, int(g[mask].sum()), node)
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    for ui in np.nonzero(mask)[0]:
-        gi = int(g[ui])
-        mg = m // gi
-        inv = pow(int(av[ui]) // gi, -1, mg) if mg > 1 else 0
-        v0 = (int(rhs[ui]) // gi) % mg * inv % mg if mg > 1 else 0
-        sols = v0 + np.arange(gi, dtype=np.int64) * mg
-        us.append(np.full(gi, ui, dtype=np.int64))
-        vs.append(sols)
-    if not us:
-        return _make_rel((u, v), [np.zeros(0, np.int64), np.zeros(0, np.int64)])
-    return _make_rel((u, v), [np.concatenate(us), np.concatenate(vs)])
 
 
 def _gcd_with(values, m: int):
@@ -1272,70 +1258,55 @@ def _majority_rel(ctx: RingContext, p: _Plan) -> Relation:
 
 
 def _count_ge_rel(ctx: RingContext, p: _Plan) -> Relation:
+    """C>=(t) v.: a witness count is never negative, so it holds wherever
+    t = 0, and where t >= 1 only at a group of the body with t <= count.  The
+    rows of the atom t = 0, extended to p.fv, and the passing groups with
+    t >= 1 are disjoint by t, so they need no dedup.  A constant t decides
+    once; the passing groups test t over group columns at each group, take
+    a sorted prefix of the nonzero values of fresh t, or test t at each
+    group and assignment of the variables it adds."""
     node = p.node
     m = ctx.m
     V0, groups, counts = _group_drop(ctx, eval_rel(ctx, p.kids[0]), node.var)
     t = node.count
-    zero = p.kids[1]
-    tf = zero.fv
+    tf = p.kids[1].fv
     if not tf:
         val = _eval_term_cols(m, t, {})
         if val == 0:
             return _complement(ctx, _empty(V0), node)
         return Relation(V0, np.compress(counts >= val, groups, axis=1))
-    if set(tf) <= set(V0):
+    # the kernel of t = 0, given p so that its errors name p (_atom_of)
+    zero = _extend_to(ctx, _KERNELS[p.kids[1].tag](ctx, p), p.fv, node)
+    ex = tuple(c for c in tf if c not in V0)
+    if not ex:
         tv = _eval_term_cols(m, t, dict(zip(V0, groups)))
-        present_pass = np.compress(counts >= tv, groups, axis=1)
-        # the kernel of count = 0, given p so that its errors name p (_atom_of)
-        zero_rel = _KERNELS[zero.tag](ctx, p)
-        zero_full = _extend_to(ctx, zero_rel, V0, node)
-        zero_full = _project(ctx, zero_full, V0)
-        absent = _anti_join(ctx, zero_full, Relation(V0, groups))
-        _charge(ctx, present_pass.shape[1] + absent.nrows, node)
-        return Relation(V0, np.concatenate([present_pass, absent.data], axis=1))
-    if set(tf) & set(V0):
-        return _count_ge_overlap(ctx, p, V0, groups, counts)
-    # count term over fresh variables: per-group prefix of sorted term values
-    total_t = m ** len(tf)
-    _charge(ctx, total_t, node)
-    tgrid = _decode_keys(np.arange(total_t, dtype=np.int64), len(tf), m)
-    tvals = _eval_term_cols(m, t, dict(zip(tf, tgrid)))
-    order = np.argsort(tvals, kind="stable")
-    k_per = np.searchsorted(tvals[order], counts, side="right")
-    total = int(k_per.sum())
-    _charge(ctx, total, node)
-    gi = np.repeat(np.arange(groups.shape[1]), k_per)
-    offs = np.arange(total) - np.repeat(np.cumsum(k_per) - k_per, k_per)
-    ti = order[offs]
-    passing = np.concatenate([np.take(groups, gi, axis=1), np.take(tgrid, ti, axis=1)])
-    comp = _complement(ctx, Relation(V0, groups), node)
-    zgrid = np.compress(tvals == 0, tgrid, axis=1)
-    _charge(ctx, comp.nrows * zgrid.shape[1], node)
-    absent = np.concatenate(
-        [np.repeat(comp.data, zgrid.shape[1], axis=1), np.tile(zgrid, comp.nrows)]
-    )
-    return _make_rel(V0 + tf, np.concatenate([passing, absent], axis=1))
-
-
-def _count_ge_overlap(ctx, p: _Plan, V0, groups, counts) -> Relation:
-    """Count term shares variables with the group columns; enumerate the
-    fresh ones densely."""
-    node = p.node
-    m = ctx.m
-    ex = tuple(c for c in p.kids[1].fv if c not in V0)
-    n_ex = m ** len(ex)
-    present = Relation(V0, groups)
-    comp = _complement(ctx, present, node)
-    ex_grid = _decode_keys(np.arange(n_ex, dtype=np.int64), len(ex), m)
-    parts = []
-    for block, cnts in ((present, counts), (comp, np.zeros(comp.nrows, np.int64))):
-        _charge(ctx, block.nrows * n_ex, node)
-        data = np.concatenate(
-            [np.repeat(block.data, n_ex, axis=1), np.tile(ex_grid, block.nrows)]
+        passing = np.compress((tv != 0) & (counts >= tv), groups, axis=1)
+    elif len(ex) == len(tf):
+        # per group, the prefix of the nonzero values of t sorted
+        total_t = m ** len(tf)
+        _charge(ctx, total_t, node)
+        tgrid = _decode_keys(np.arange(total_t, dtype=np.int64), len(tf), m)
+        tvals = _eval_term_cols(m, t, dict(zip(tf, tgrid)))
+        order = np.flatnonzero(tvals)
+        order = order[np.argsort(tvals[order], kind="stable")]
+        k_per = np.searchsorted(tvals[order], counts, side="right")
+        total = int(k_per.sum())
+        _charge(ctx, total, node)
+        gi = np.repeat(np.arange(groups.shape[1]), k_per)
+        ti = order[np.arange(total) - np.repeat(np.cumsum(k_per) - k_per, k_per)]
+        passing = np.concatenate([np.take(groups, gi, axis=1), np.take(tgrid, ti, axis=1)])
+    else:
+        n_ex = m ** len(ex)
+        _charge(ctx, groups.shape[1] * n_ex, node)
+        ex_grid = _decode_keys(np.arange(n_ex, dtype=np.int64), len(ex), m)
+        passing = np.concatenate(
+            [np.repeat(groups, n_ex, axis=1), np.tile(ex_grid, groups.shape[1])]
         )
-        tv = _eval_term_cols(m, node.count, dict(zip(V0 + ex, data)))
-        parts.append(np.compress(np.repeat(cnts, n_ex) >= tv, data, axis=1))
-    return _make_rel(V0 + ex, np.concatenate(parts, axis=1))
+        tv = _eval_term_cols(m, t, dict(zip(V0 + ex, passing)))
+        passing = np.compress((tv != 0) & (np.repeat(counts, n_ex) >= tv), passing, axis=1)
+    passing = _make_rel(V0 + ex, passing)
+    _charge(ctx, zero.nrows + passing.nrows, node)
+    return Relation(p.fv, np.concatenate([zero.data, passing.data], axis=1))
 
 
 # ---------------------------------------------------------------------------

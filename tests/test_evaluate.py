@@ -474,23 +474,62 @@ def test_wide_negated_quantifier_takes_the_complement(monkeypatch):
     assert 4 in widths
 
 
+def _count_ge_branch(p) -> str:
+    """Which branch the C>= kernel takes for the groups where t >= 1: by
+    whether the count term t has variables, and whether they are group
+    columns, fresh ones, or both."""
+    tf = set(p.kids[1].fv)
+    group_cols = set(p.kids[0].fv) - {p.node.var}
+    if not tf:
+        return "constant"
+    if tf <= group_cols:
+        return "group columns"
+    return "shared and added" if tf & group_cols else "fresh"
+
+
 def test_count_ge_overlap_agrees_with_the_reference(monkeypatch):
     # the count term a + b shares a with the group columns and adds b
     s = parse_sentence("E a. E b. ((C>=(a + b) x. (x < a)) & (b < a))")
-    calls = _counting(monkeypatch, fastengine, "_count_ge_overlap")
+    calls = _counting(monkeypatch, fastengine, "count ge")
     got = [eval_sentence(s, m, engine="both") for m in range(1, 13)]
     assert got == [False] + [True] * 11
-    assert calls
+    assert "shared and added" in {_count_ge_branch(p) for ctx, p in calls}
 
 
 def test_linear_var_rel_agrees_with_the_reference(monkeypatch):
     # x * y = 1 is linear in y with a coefficient that depends on x
     s = parse_sentence("E x. E y. (((x * y) = 1) & (x < y))")
-    calls = _counting(monkeypatch, fastengine, "_linear_var_rel")
+    calls = _counting(monkeypatch, fastengine, "_linear_rel")
     got = [eval_sentence(s, m, engine="both") for m in range(1, 13)]
     F, T = False, True
     assert got == [F, F, F, F, T, F, T, F, T, T, T, F]
-    assert calls
+    assert any(a_poly.keys() != {(0,)} for ctx, a_poly, *_ in calls)
+
+
+@pytest.mark.parametrize(
+    "text, branch, zero_tag",
+    [
+        ("E[1,2] x. C>=(6) y. ((x * y) = x)", "constant", "ground"),
+        ("E[1,2] x. C>=(x * x) y. ((y * y) = x)", "group columns", "univariate"),
+        ("E[1,2] a. E[1,2] b. C>=(a * b) y. ((y * y) = 1)", "fresh", "pair"),
+        (
+            "E[1,2] a. E[1,2] b. E[1,2] c."
+            " C>=(((a * a) + (b * b)) + (c * c)) x. ((x * x) = a)",
+            "shared and added",
+            "grid scan",
+        ),
+    ],
+)
+def test_count_ge_branches_agree_with_the_reference(monkeypatch, text, branch, zero_tag):
+    # C>= is the rows of its atom t = 0 and the passing groups with t >= 1.
+    # Under E[1,2], a row that both halves give, or that neither does,
+    # flips the parity of a count, and so the answer
+    s = parse_sentence(text)
+    calls = _counting(monkeypatch, fastengine, "count ge")
+    got = [eval_sentence(s, m, engine="both") for m in range(1, 31)]
+    assert True in got and False in got
+    assert {(_count_ge_branch(p), p.kids[1].tag) for ctx, p in calls} == {(branch, zero_tag)}
+    assert len(calls) == 30
 
 
 @pytest.mark.parametrize(
@@ -501,7 +540,7 @@ def test_linear_var_rel_agrees_with_the_reference(monkeypatch):
         ("_count_filter", "E x. ((E z. ((z * z) = x)) & !(E[0,2] y. ((y * y) = x)))",
          "TTTFTTTFTTTF"),
         ("linear exists", "A x. (!(x = 0) -> E y. ((x * y) = 1))", "TTTFTFTFFFTF"),
-        ("_linear_const_rel", "E x. E y. ((((2 * y) + x) = 3) & (x < y))", "FFFTTTTTTTTT"),
+        ("_linear_rel", "E x. E y. ((((2 * y) + x) = 3) & (x < y))", "FFFTTTTTTTTT"),
         # one sentence for each slot shape of a two-name TIMES atom
         ("_times_two_var", "E x. E y. (TIMES(x, y, 6) & (x < y))", "FTTTFTTTTTTT"),
         ("_times_two_var", "E x. E y. (TIMES(x, y, 0) & (1 < x))", "FFTTTTTTTTTT"),
@@ -619,10 +658,12 @@ def test_univariate_equation_is_solved_by_horner(monkeypatch, text, pattern, neg
     assert {fastengine._atom_of(p)[1] for ctx, p in univariate} == negations
 
 
-def _linear_const_branch(ctx, a_poly, b_poly, u, v, node) -> str:
-    """Which branch _linear_const_rel takes for these arguments."""
+def _linear_branch(ctx, a_poly, b_poly, u, v, node) -> str:
+    """Which branch _linear_rel takes for these arguments."""
     m = ctx.m
-    a = next(iter(a_poly.values())) % m
+    if a_poly.keys() != {(0,)}:
+        return "per-row a"
+    a = a_poly[(0,)] % m
     if math.gcd(a, m) > 1:
         return "g > 1"
     return "c = 1" if -pow(a, -1, m) % m == 1 else "c != 1"
@@ -643,11 +684,12 @@ def _linear_exists_branch(ctx, p) -> str:
     return "table at u" if a_poly == {(1,): 1} else "table at a(u)"
 
 
-_LINEAR_CONST_SENTENCES = [
+_LINEAR_PAIR_SENTENCES = [
     "E[0,2] x. E y. ((((x * x) * x) = y) & (x < y))",  # a = -1, so c = 1
     "E[1,3] x. E y. (((y + (x * x)) = 5) & (x < y))",  # c = -1
     "E[1,3] x. E y. ((((2 * y) + x) = 3) & (x < y))",  # c = -1/2, or g = 2
     "E[0,2] x. E y. ((((6 * y) + (x * x)) = 1) & (y < x))",  # g = gcd(6, m)
+    "E[1,2] x. E y. ((((x * x) * y) = (x + 2)) & (x < y))",  # a = x^2
 ]
 _LINEAR_EXISTS_SENTENCES = [
     "A x. (!(x = 0) -> E y. ((x * y) = 1))",
@@ -663,21 +705,21 @@ _LINEAR_EXISTS_SENTENCES = [
 def test_linear_kernels_agree_with_the_reference_on_every_branch(monkeypatch):
     # m = 1..40 takes in m = 1, primes, prime powers and composites
     branches = collections.Counter()
-    real_const = fastengine._linear_const_rel
+    real_pair = fastengine._linear_rel
     real_exists = fastengine._KERNELS["linear exists"]
 
-    def linear_const(*args):
-        branches[_linear_const_branch(*args)] += 1
-        return real_const(*args)
+    def linear_pair(*args):
+        branches[_linear_branch(*args)] += 1
+        return real_pair(*args)
 
     def linear_exists(ctx, p):
         if len(p.kids[0].fv) == 2:
             branches[_linear_exists_branch(ctx, p)] += 1
         return real_exists(ctx, p)
 
-    monkeypatch.setattr(fastengine, "_linear_const_rel", linear_const)
+    monkeypatch.setattr(fastengine, "_linear_rel", linear_pair)
     monkeypatch.setitem(fastengine._KERNELS, "linear exists", linear_exists)
-    for text in _LINEAR_CONST_SENTENCES + _LINEAR_EXISTS_SENTENCES:
+    for text in _LINEAR_PAIR_SENTENCES + _LINEAR_EXISTS_SENTENCES:
         s = parse_sentence(text)
         got = [eval_sentence(s, m, engine="both") for m in range(1, 41)]
         assert True in got and False in got, text
@@ -685,6 +727,7 @@ def test_linear_kernels_agree_with_the_reference_on_every_branch(monkeypatch):
         "c = 1",
         "c != 1",
         "g > 1",
+        "per-row a",
         "constants",
         "table at u",
         "table at a(u)",
@@ -895,7 +938,8 @@ def test_small_chunks_and_pack_limit_keep_every_relation(monkeypatch):
     # metamorphic test: with 7-cell chunks and packed keys capped at 2^3,
     # the multi-chunk loops, and from m = 8 on the wide-key fallback of
     # every key consumer, run on small moduli, and must give the relations
-    # the default sizes give, where most keys are dense
+    # the default sizes give, where most keys are dense; every relation
+    # must be well formed and free of duplicates
     misshapen = []
     real_eval_rel = fastengine.eval_rel
 
@@ -909,6 +953,8 @@ def test_small_chunks_and_pack_limit_keep_every_relation(monkeypatch):
             and data.shape[0] == len(rel.cols)
             and rel.cols == p.fv  # which is sorted
             and (data.size == 0 or 0 <= data.min() <= data.max() < ctx.m)
+            # no assignment twice, as Relation promises
+            and np.unique(data, axis=1).shape[1] == data.shape[1]
         ):
             misshapen.append((formula_to_text(p.node), ctx.m))
         return rel
@@ -957,7 +1003,7 @@ def test_small_chunks_and_pack_limit_keep_every_relation(monkeypatch):
     assert misshapen == []
     assert chunked == {"_grid_rel"}
     # fn is the count filter's row test
-    consumers = {"_dedup", "_group_drop", "_join", "_anti_join", "fn"}
+    consumers = {"_dedup", "_group_drop", "_join", "fn"}
     assert wide == consumers
     for caller in consumers - {"_join"}:  # a join only sorts
         assert branches[caller, "dense"] > 0 and branches[caller, "sort"] > 0, caller
@@ -972,6 +1018,34 @@ def test_gcd_with_matches_numpy_gcd():
         got = fastengine._gcd_with(values, m)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.gcd(values, m)), m
+
+
+def test_inverse_matches_pow():
+    units = [(a, n) for n in range(1, 61) for a in range(n) if math.gcd(a, n) == 1]
+    cases = [tuple(np.array(units).T)]
+    for n in (1_000_003, 999_999):
+        sample = np.random.default_rng(n).integers(0, n, 100_000)
+        cases.append((sample[np.gcd(sample, n) == 1], np.full(100_000, n)))
+    for a, n in cases:
+        n = n[: a.size]
+        want = [pow(int(x), -1, int(y)) for x, y in zip(a, n)]
+        assert fastengine._inverse(a, n).tolist() == want
+
+
+def test_linear_pairs_with_a_per_row_coefficient_at_large_moduli():
+    # a*v = b with a = x or x^2 has a solution, and one, exactly at units x
+    for m in (300_007, 10**6, 1_000_003):
+        phi = int(np.count_nonzero(np.gcd(np.arange(m), m) == 1))
+        for text in ("(x * y) = 1", "((x * x) * y) = 1"):
+            assert eval_fast(RingContext(m), parse_formula(text)).nrows == phi, (m, text)
+    # 2x*y = 2 has gcd(2x, m) solutions y where that gcd divides 2
+    m = 10**6
+    g = np.gcd(2 * np.arange(m), m)
+    want = int(g[2 % g == 0].sum())
+    assert eval_fast(RingContext(m), parse_formula("((2 * x) * y) = 2")).nrows == want
+    s = parse_sentence("E x. E y. (((x * y) = 1) & (x < y))")
+    assert eval_sentence(s, 300_007) is True
+    assert eval_sentence(s, 1_000_003) is True
 
 
 @pytest.mark.parametrize("m", [1_664_510, 1_664_511, 2_000_000])
