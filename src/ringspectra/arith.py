@@ -222,17 +222,17 @@ def eval_mod_array(coeffs, xs: np.ndarray, m) -> np.ndarray:
     return np.remainder(acc, m, out=acc)
 
 
-def poly_roots_mod(f: IntPolynomial, p: int, scan_limit: int = ROOT_SCAN_LIMIT) -> list[int]:
+def poly_roots_mod(f: IntPolynomial, p: int) -> list[int]:
     """Sorted roots of f in Z_p for prime p.
 
-    Scans all residues when p <= scan_limit; otherwise reduces to
+    Scans all residues when p <= ROOT_SCAN_LIMIT; otherwise reduces to
     gcd(x^p - x, f) over GF(p) and splits off linear factors.  Raises
     DegenerateInputError when f reduces to the zero polynomial mod p.
     """
     red = [c % p for c in f.coeffs]
     if not any(red):
         raise DegenerateInputError(f"polynomial is identically zero mod {p}")
-    if p <= scan_limit:
+    if p <= ROOT_SCAN_LIMIT:
         return np.flatnonzero(eval_mod_array(red, np.arange(p, dtype=np.int64), p) == 0).tolist()
     return _roots_by_gcd(red, p)
 

@@ -39,7 +39,8 @@ from .logic import (
     QUANTIFIERS,
     Var,
     formula_to_text,
-    require_sentence,
+    require_closed,
+    run,
 )
 
 # Default cap on materialized relation rows in the fast engine.
@@ -111,8 +112,7 @@ def _source(f: Formula) -> tuple[list[str], str]:
         return f"{name}({args})", 0
 
     def emit(g, scope):
-        """g's (text, depth), as a generator that yields (operand, scope)
-        for the text and depth of each operand; run drives it."""
+        """g's (text, depth): a visit for run, whose context is scope."""
         if isinstance(g, Var):
             return scope.get(g.name) or free.setdefault(g.name, f"f{len(free)}"), 0
         if isinstance(g, Lit):
@@ -155,31 +155,17 @@ def _source(f: Formula) -> tuple[list[str], str]:
         text = template.format(*texts)
         return (text, depth) if depth < _NEST else define([f"return {text}"])
 
-    def run(g, scope):
-        """emit(g, scope) on a stack of its own: the generators of the
-        operands being emitted, so that no depth of f exhausts Python's."""
-        stack, value = [emit(g, scope)], None
-        while stack:
-            try:
-                operand = stack[-1].send(value)
-            except StopIteration as done:
-                stack.pop()
-                value = done.value
-            else:
-                stack.append(emit(*operand))
-                value = None
-        return value
-
-    top = run(f, {})[0]
+    top = run(emit, f, {})[0]
     lines = ["def make(M, R):"] + [f"    {c} = {k} % M" for k, c in consts.items()]
     lines += defs + [f"    def top({', '.join(free.values())}):",
                      f"        return {top}", "    return top"]
     return list(free), "\n".join(lines) + "\n"
 
 
-def _compiled(ctx: RingContext, f: Formula):
-    """(free names of f, f in Z_m as a function of their values), from source
-    generated and compiled once per sentence, and run without builtins."""
+def _compiled(f: Formula):
+    """(free names of f, make), where make(m, range(m)) is f in Z_m as a
+    function of their values, from source generated and compiled once per
+    sentence, and run without builtins."""
     known = _COMPILED.get(id(f))
     if known is None:
         names, source = _source(f)
@@ -187,16 +173,15 @@ def _compiled(ctx: RingContext, f: Formula):
         exec(compile(source, "<reference>", "exec"), space)
         weakref.finalize(f, _COMPILED.pop, id(f), None).atexit = False
         known = _COMPILED[id(f)] = names, space["make"]
-    names, make = known
-    return names, make(ctx.m, range(ctx.m))
+    return known
 
 
 def eval_naive(ctx: RingContext, f: Formula, env: dict[str, int] | None = None) -> bool:
     """Truth of f in Z_m under env (read, never mutated), from f's compiled
     source; KeyError if env lacks a free variable of f."""
-    names, holds = _compiled(ctx, f)
+    names, make = _compiled(f)
     env = env or {}
-    return holds(*[env[n] for n in names])
+    return make(ctx.m, range(ctx.m))(*[env[n] for n in names])
 
 
 def naive_rows(ctx: RingContext, f: Formula, cols: Sequence[str], cap: int) -> list:
@@ -208,7 +193,8 @@ def naive_rows(ctx: RingContext, f: Formula, cols: Sequence[str], cap: int) -> l
             f"{total} assignments are too many for per-assignment evaluation"
             f" of: {formula_to_text(f)[:100]}"
         )
-    names, holds = _compiled(ctx, f)
+    names, make = _compiled(f)
+    holds = make(ctx.m, range(ctx.m))
     where = {col: i for i, col in enumerate(cols)}
     pick = [where[n] for n in names]  # KeyError for a free name not in cols
     return [
@@ -234,20 +220,18 @@ def eval_sentence(
     """
     from .fastengine import eval_fast_bool
 
-    require_sentence(sentence)
     if tuple_budget is None:
         tuple_budget = DEFAULT_TUPLE_BUDGET
     ctx = RingContext(m, tuple_budget=tuple_budget)
-    if engine == "naive":
-        return eval_naive(ctx, sentence)
     if engine == "fast":
         return eval_fast_bool(ctx, sentence)
-    if engine == "both":
-        got_naive = eval_naive(ctx, sentence)
-        got_fast = eval_fast_bool(ctx, sentence)
-        if got_naive != got_fast:
-            raise EngineDisagreementError(
-                formula_to_text(sentence), m, got_naive, got_fast
-            )
+    if engine not in ("naive", "both"):
+        raise ValueError(f"unknown engine {engine!r}")
+    require_closed(_compiled(sentence)[0])
+    got_naive = eval_naive(ctx, sentence)
+    if engine == "naive":
         return got_naive
-    raise ValueError(f"unknown engine {engine!r}")
+    got_fast = eval_fast_bool(ctx, sentence)
+    if got_naive != got_fast:
+        raise EngineDisagreementError(formula_to_text(sentence), m, got_naive, got_fast)
+    return got_naive

@@ -77,11 +77,14 @@ from .logic import (
     Lit,
     Majority,
     ModExists,
+    Mul,
     Not,
     Or,
     Term,
     Var,
     formula_to_text,
+    require_closed,
+    run,
 )
 
 _ATOMS = (Equal, Less, IntTimes)
@@ -948,56 +951,51 @@ def _union(*names: Iterable[str]) -> tuple[str, ...]:
 
 
 def _compile(formula: Formula) -> _Plan:
-    """The plan of a formula."""
+    """The plan of a formula, by one walk whose context is whether a node
+    is read positively and the new names of the variables bound above it.
+    A term's result is the renamed term, its variables and its polynomial
+    over sorted multisets of variable names."""
     fresh = itertools.count(1)
-
-    def term(t: Term, names: dict):
-        """Renamed term, its variables and its polynomial over sorted
-        multisets of variable names."""
-        if isinstance(t, Var):
-            name = names.get(t.name, t.name)
-            return Var(name), {name}, {(name,): 1}
-        if isinstance(t, Lit):
-            return t, set(), {(): t.value}
-        a, av, ap = term(t.left, names)
-        b, bv, bp = term(t.right, names)
-        out: dict = {}
-        if isinstance(t, Add):
-            for d in (ap, bp):
-                for e, c in d.items():
-                    out[e] = out.get(e, 0) + c
-        else:
-            for ea, ca in ap.items():
-                for eb, cb in bp.items():
-                    e = tuple(sorted(ea + eb))
-                    out[e] = out.get(e, 0) + ca * cb
-        return type(t)(a, b), av | bv, out
-
-    def atom(f: Formula, names: dict) -> _Plan:
-        if isinstance(f, IntTimes):
-            parts = [term(t, names) for t in (f.x, f.y, f.z)]
-            node = IntTimes(*(p[0] for p in parts))
-            return _Plan(node, _union(*(p[1] for p in parts)))
-        l, lv, lp = term(f.left, names)
-        r, rv, rp = term(f.right, names)
-        fv = _union(lv, rv)
-        if isinstance(f, Less):
-            return _Plan(Less(l, r), fv)
-        diff = dict(lp)
-        for e, c in rp.items():
-            diff[e] = diff.get(e, 0) - c
-        poly = {tuple(e.count(v) for v in fv): c for e, c in diff.items() if c}
-        return _Plan(Equal(l, r), fv, (), poly)
 
     def negated(p: _Plan) -> _Plan:
         return _Plan(Not(p.node), p.fv, (p,))
 
-    def walk(f: Formula, positive: bool, names: dict) -> _Plan:
+    def visit(f, positive: bool, names: dict):
+        if isinstance(f, Var):
+            name = names.get(f.name, f.name)
+            return Var(name), {name}, {(name,): 1}
+        if isinstance(f, Lit):
+            return f, set(), {(): f.value}
+        if isinstance(f, (Add, Mul)):
+            a, av, ap = yield f.left, positive, names
+            b, bv, bp = yield f.right, positive, names
+            out: dict = {}
+            if isinstance(f, Add):
+                for d in (ap, bp):
+                    for e, c in d.items():
+                        out[e] = out.get(e, 0) + c
+            else:
+                for ea, ca in ap.items():
+                    for eb, cb in bp.items():
+                        e = tuple(sorted(ea + eb))
+                        out[e] = out.get(e, 0) + ca * cb
+            return type(f)(a, b), av | bv, out
         if isinstance(f, _ATOMS):
-            p = atom(f, names)
+            terms = []
+            for t in vars(f).values():
+                terms.append((yield t, positive, names))
+            fv = _union(*(t[1] for t in terms))
+            poly = None
+            if isinstance(f, Equal):
+                (_, _, lp), (_, _, rp) = terms
+                diff = dict(lp)
+                for e, c in rp.items():
+                    diff[e] = diff.get(e, 0) - c
+                poly = {tuple(e.count(v) for v in fv): c for e, c in diff.items() if c}
+            p = _Plan(type(f)(*(t[0] for t in terms)), fv, (), poly)
             return p if positive else negated(p)
         if isinstance(f, Not):
-            return walk(f.body, not positive, names)
+            return (yield f.body, not positive, names)
         if isinstance(f, (And, Or, Implies)):
             if isinstance(f, Implies):
                 cls = Or if positive else And
@@ -1005,15 +1003,15 @@ def _compile(formula: Formula) -> _Plan:
                 cls = type(f)
             else:
                 cls = Or if isinstance(f, And) else And
-            a = walk(f.left, positive != isinstance(f, Implies), names)
-            b = walk(f.right, positive, names)
+            a = yield f.left, positive != isinstance(f, Implies), names
+            b = yield f.right, positive, names
             kids = tuple(
                 k for p in (a, b) for k in (p.kids if isinstance(p.node, cls) else (p,))
             )
             return _Plan(cls(a.node, b.node), _union(a.fv, b.fv), kids)
         # bound names contain a quote, which no parsed identifier does
         var = f"{f.var}'{next(fresh)}"
-        body = walk(f.body, not isinstance(f, Forall), {**names, f.var: var})
+        body = yield f.body, not isinstance(f, Forall), {**names, f.var: var}
         fv = tuple(c for c in body.fv if c != var)
         if isinstance(f, (Exists, Forall)):
             q = _Plan(Exists(var, body.node), fv, (body,))
@@ -1022,12 +1020,12 @@ def _compile(formula: Formula) -> _Plan:
         elif isinstance(f, Majority):
             q = _Plan(Majority(var, body.node), fv, (body,))
         else:
-            zero = atom(Equal(f.count, Lit(0)), names)
+            zero = yield Equal(f.count, Lit(0)), True, names
             node = CountGE(zero.node.left, var, body.node)
             q = _Plan(node, _union(fv, zero.fv), (body, zero))
         return negated(q) if positive == isinstance(f, Forall) else q
 
-    return walk(formula, True, {})
+    return run(visit, formula, True, {})
 
 
 def _share(plan: _Plan) -> None:
@@ -1041,9 +1039,9 @@ def _share(plan: _Plan) -> None:
     classes: dict[tuple, int] = {}
     known: dict[int, tuple[int, tuple[str, ...]]] = {}
 
-    def canon(g) -> tuple[int, tuple[str, ...]]:
+    def canon(g):
         """The class of a subformula or term, and its free variables in
-        order of first occurrence."""
+        order of first occurrence: a visit for run."""
         if id(g) not in known:
             if isinstance(g, Var):
                 shape, names = ["Var"], [g.name]
@@ -1054,7 +1052,7 @@ def _share(plan: _Plan) -> None:
                     if isinstance(value, int):
                         shape.append(value)
                     elif not isinstance(value, str):  # a str is the bound name
-                        cls, inner = canon(value)
+                        cls, inner = yield value,
                         names += [n for n in inner if n != bound and n not in names]
                         where = tuple(-1 if n == bound else names.index(n) for n in inner)
                         shape.append((cls, where))
@@ -1069,7 +1067,7 @@ def _share(plan: _Plan) -> None:
         p, up, kind = stack.pop()
         atom = p.node.body if isinstance(p.node, Not) else p.node
         if p.fv and not isinstance(atom, _ATOMS):
-            cls, names = canon(p.node)
+            cls, names = run(canon, p.node)
             up, above = [False], up  # below p, p's flag is the one above
             members.setdefault((cls, kind), []).append((p, names, above, up))
         counts = [c for step, c in p.steps if step == "count"]
@@ -1098,11 +1096,8 @@ def _plan(formula: Formula) -> _Plan:
     once."""
     plan = _PLANS.get(id(formula))
     if plan is None:
-        try:
-            plan = _compile(formula)
-            _share(plan)
-        except RecursionError:
-            raise _too_deep() from None
+        plan = _compile(formula)
+        _share(plan)
         weakref.finalize(formula, _PLANS.pop, id(formula), None).atexit = False
         _PLANS[id(formula)] = plan
     return plan
@@ -1388,6 +1383,5 @@ def eval_fast(ctx: RingContext, formula: Formula) -> Relation:
 
 def eval_fast_bool(ctx: RingContext, sentence: Formula) -> bool:
     plan = _plan(sentence)
-    if plan.fv:
-        raise ValueError("sentence has free variables")
+    require_closed(plan.fv)
     return _run(ctx, plan).nrows > 0

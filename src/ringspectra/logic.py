@@ -165,85 +165,103 @@ def count_exact(count: Term, var: str, body: "Formula") -> Formula:
     )
 
 
+def run(visit, node, *context):
+    """visit(node, *context) on a stack of its own, so that no depth of
+    nesting exhausts Python's.  visit is a generator function: it yields
+    (operand, *context) for each operand it needs, is sent back what
+    visit(operand, *context) returns, and returns its node's result."""
+    stack, value = [visit(node, *context)], None
+    while stack:
+        try:
+            operand = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(visit(*operand))
+            value = None
+    return value
+
+
+# the fields of each node, in order, fill its template
+_TEXT = {
+    Var: "{}",
+    Lit: "{}",
+    Add: "({} + {})",
+    Mul: "({} * {})",
+    Equal: "{} = {}",
+    Less: "{} < {}",
+    IntTimes: "TIMES({}, {}, {})",
+    Not: "!({})",
+    And: "({} & {})",
+    Or: "({} | {})",
+    Implies: "({} -> {})",
+    Exists: "(E {}. {})",
+    Forall: "(A {}. {})",
+    ModExists: "(E[{},{}] {}. {})",
+    Majority: "(M {}. {})",
+    CountGE: "(C>=({}) {}. {})",
+}
+
+
+def _free(g):
+    """The free variables of a term or formula, as a set: a visit for run.
+    A quantifier's bound name is its field var, and its integers are not
+    operands."""
+    if type(g) is Var:
+        return {g.name}
+    if type(g) not in _TEXT:
+        raise TypeError(f"not a formula: {g!r}")
+    free = set()
+    for field, value in vars(g).items():
+        if field != "var" and type(value) is not int:
+            free |= yield value,
+    free.discard(getattr(g, "var", None))
+    return free
+
+
 def term_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Lit):
-        return frozenset()
-    return term_vars(t.left) | term_vars(t.right)
+    return frozenset(run(_free, t))
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    """The variables of f that no quantifier of f binds, by a walk with its
-    own stack, so that no depth of nesting exhausts Python's."""
-    free: set[str] = set()
-    stack = [(f, frozenset())]
-    while stack:
-        g, bound = stack.pop()
-        t = type(g)
-        if t is And or t is Or or t is Implies:
-            stack += ((g.left, bound), (g.right, bound))
-        elif t is Equal or t is Less:
-            free |= (term_vars(g.left) | term_vars(g.right)) - bound
-        elif t is Not:
-            stack.append((g.body, bound))
-        elif t is IntTimes:
-            free |= (term_vars(g.x) | term_vars(g.y) | term_vars(g.z)) - bound
-        elif t in QUANTIFIERS:
-            if t is CountGE:
-                free |= term_vars(g.count) - bound
-            stack.append((g.body, bound | {g.var}))
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-    return frozenset(free)
+    """The variables of f that no quantifier of f binds."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return frozenset(run(_free, f))
 
 
 def require_sentence(f: Formula) -> Formula:
-    fv = free_vars(f)
+    require_closed(free_vars(f))
+    return f
+
+
+def require_closed(fv) -> None:
+    """ValueError naming fv, the free variables of a formula, if any."""
     if fv:
         raise ValueError(f"formula has free variables: {', '.join(sorted(fv))}")
-    return f
 
 
 # ---------------------------------------------------------------------------
 # Printer (fully parenthesized; parse(print(f)) == f)
 
 
-def term_to_text(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Lit):
-        return str(t.value)
-    op = "+" if isinstance(t, Add) else "*"
-    return f"({term_to_text(t.left)} {op} {term_to_text(t.right)})"
+def _text(g):
+    """The text of a term or formula: a visit for run."""
+    template = _TEXT.get(type(g))
+    if template is None:
+        raise TypeError(f"not a formula: {g!r}")
+    parts = []
+    for value in vars(g).values():
+        parts.append(value if type(value) in (str, int) else (yield value,))
+    return template.format(*parts)
 
 
 def formula_to_text(f: Formula) -> str:
-    if isinstance(f, Equal):
-        return f"{term_to_text(f.left)} = {term_to_text(f.right)}"
-    if isinstance(f, Less):
-        return f"{term_to_text(f.left)} < {term_to_text(f.right)}"
-    if isinstance(f, IntTimes):
-        return f"TIMES({term_to_text(f.x)}, {term_to_text(f.y)}, {term_to_text(f.z)})"
-    if isinstance(f, Not):
-        return f"!({formula_to_text(f.body)})"
-    if isinstance(f, And):
-        return f"({formula_to_text(f.left)} & {formula_to_text(f.right)})"
-    if isinstance(f, Or):
-        return f"({formula_to_text(f.left)} | {formula_to_text(f.right)})"
-    if isinstance(f, Implies):
-        return f"({formula_to_text(f.left)} -> {formula_to_text(f.right)})"
-    if isinstance(f, Exists):
-        return f"(E {f.var}. {formula_to_text(f.body)})"
-    if isinstance(f, Forall):
-        return f"(A {f.var}. {formula_to_text(f.body)})"
-    if isinstance(f, ModExists):
-        return f"(E[{f.residue},{f.modulus}] {f.var}. {formula_to_text(f.body)})"
-    if isinstance(f, Majority):
-        return f"(M {f.var}. {formula_to_text(f.body)})"
-    if isinstance(f, CountGE):
-        return f"(C>=({term_to_text(f.count)}) {f.var}. {formula_to_text(f.body)})"
-    raise TypeError(f"not a formula: {f!r}")
+    return run(_text, f)
+
+
+term_to_text = formula_to_text
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from ringspectra import arith
 from ringspectra.arith import (
     IntPolynomial,
     cyclotomic,
@@ -201,6 +202,10 @@ def test_roots_mod_brute_force_random():
         assert poly_roots_mod(f, p) == expected
 
 
+def _gcd_roots(f, p):
+    return arith._roots_by_gcd([c % p for c in f.coeffs], p)
+
+
 def test_roots_gcd_path_matches_scan():
     polys = [
         IntPolynomial((1, 0, 1)),
@@ -210,7 +215,7 @@ def test_roots_gcd_path_matches_scan():
     for p in sieve(1000).primes[1:]:
         p = int(p)
         for f in polys:
-            assert poly_roots_mod(f, p, scan_limit=0) == poly_roots_mod(f, p)
+            assert _gcd_roots(f, p) == [x for x in range(p) if f(x) % p == 0]
 
 
 def test_roots_gcd_path_large_prime():
@@ -219,10 +224,9 @@ def test_roots_gcd_path_large_prime():
     f = IntPolynomial((1, 0, 1))
     g = IntPolynomial((-2, 0, 1))
     for poly in (f, g):
-        roots = poly_roots_mod(poly, p, scan_limit=0)
-        assert roots == poly_roots_mod(poly, p, scan_limit=10**6)
+        roots = _gcd_roots(poly, p)
+        assert roots == [x for x in range(p) if poly(x) % p == 0]
         assert len(roots) == 2
-        assert all(poly(r) % p == 0 for r in roots)
 
 
 def test_roots_degenerate_reduction():

@@ -49,6 +49,16 @@ def test_eval_closed_formula(tmp_path, capsys):
     assert (code, out) == (0, "false\n")
 
 
+def test_eval_and_parse_a_term_deeper_than_pythons_stack(tmp_path, capsys):
+    n = 1200
+    path = formula_file(tmp_path, "E x. ((x" + " + 1" * n + ") = x)")
+    for modulus, want in (("7", "false\n"), ("5", "true\n")):
+        code, out, _ = run(capsys, "eval", "--modulus", modulus, "--formula", path)
+        assert (code, out) == (0, want)
+    code, out, _ = run(capsys, "parse", "--formula", path)
+    assert (code, out) == (0, "(E x. " + "(" * n + "x" + " + 1)" * n + " = x)\n")
+
+
 def test_eval_open_formula_emits_relation(tmp_path, capsys):
     path = formula_file(tmp_path, "((x * x) = 1)")
     code, out, _ = run(

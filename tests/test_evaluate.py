@@ -53,6 +53,7 @@ from ringspectra.logic import (
     Var,
     count_exact,
     formula_to_text,
+    free_vars,
     parse_formula,
     parse_sentence,
     random_sentence,
@@ -326,8 +327,8 @@ def _nest(depth):
 
 
 def test_reference_evaluates_long_and_deep_formulas():
-    # depth 1200 also passes eval_sentence's free_vars, which walks with a
-    # stack of its own, as does the reference's source writer
+    # depth 1200 is deeper than Python's stack: the reference writes its
+    # source by logic.run, which keeps a stack of its own
     chain = " & ".join(f"!(x = {k})" for k in range(300))
     s = parse_sentence(f"E x. ({chain})")
     assert eval_sentence(s, 300, engine="both") is False
@@ -346,6 +347,24 @@ def test_reference_evaluates_long_and_deep_formulas():
                 n += holds
             assert eval_sentence(ModExists(n % 3, 3, "x", f), m, engine="naive")
             assert not eval_sentence(ModExists((n + 1) % 3, 3, "x", f), m, engine="naive")
+
+
+def test_walks_take_formulas_deeper_than_pythons_stack():
+    for n in (1200, 5000):
+        # true in Z_m exactly when m divides n
+        s = parse_sentence("E x. ((x" + " + 1" * n + ") = x)")
+        assert formula_to_text(s) == "(E x. " + "(" * n + "x" + " + 1)" * n + " = x)"
+        for m in range(1, 13):
+            assert eval_sentence(s, m, engine="both") is (n % m == 0)
+    power = parse_sentence("E x. ((x" + " * x" * 999 + ") = 2)")
+    for m in range(1, 13):
+        want = any(pow(x, 1000, m) == 2 % m for x in range(m))
+        assert eval_sentence(power, m, engine="both") is want
+    text = "x = 0"
+    for k in range(1200):
+        text = f"({text} & x < {k % 11 + 2})" if k % 2 else f"({text} | x = {k % 13})"
+    assert formula_to_text(_nest(1200)) == text
+    assert free_vars(_nest(1200)) == {"x"}
 
 
 def test_fast_engine_refuses_formulas_nested_too_deep():

@@ -144,8 +144,19 @@ def test_free_vars():
     g = parse_formula("C>=(k) y. y < z")
     assert free_vars(g) == {"k", "z"}
     assert not free_vars(parse_formula("A x. x = x"))
+    assert free_vars(parse_formula("E x. E x. (x = y)")) == {"y"}
+    assert free_vars(parse_formula("((x = 1) & E x. (x = 2))")) == {"x"}
+    assert free_vars(parse_formula("E z. C>=(k + z) y. (y < z)")) == {"k"}
     with pytest.raises(ValueError):
         require_sentence(f)
+    for not_a_formula in (Var("x"), "x = 1", Not("x = 1")):
+        with pytest.raises(TypeError):
+            free_vars(not_a_formula)
+
+
+def test_a_count_term_deeper_than_pythons_stack_parses():
+    f = parse_formula("E z. C>=(k" + " + 1" * 1200 + ") y. (y < z)")
+    assert free_vars(f) == {"k"}
 
 
 def test_parse_sentence_rejects_free_variables():

@@ -274,9 +274,7 @@ def test_sweep_compiles_the_sentence_once(monkeypatch):
     monkeypatch.setattr(fastengine, "_PLANS", {})
     compiled, checked, looked_up = [], [], []
     _recording(monkeypatch, compiled, (fastengine, "_compile"))
-    _recording(
-        monkeypatch, checked, (spectra, "require_sentence"), (evaluate, "require_sentence")
-    )
+    _recording(monkeypatch, checked, (spectra, "require_sentence"))
     _recording(monkeypatch, looked_up, (fastengine, "_plan"))
     sp = spectrum(s, 2000, workers=1)
     assert len(sp.table.primes) == 303
