@@ -176,12 +176,22 @@ def _compiled(f: Formula):
     return known
 
 
+def _too_deep() -> ResourceLimitError:
+    # each quantifier is a def that calls the next, so a deep nest of them
+    # runs out of Python stack
+    return ResourceLimitError("formula nested too deeply for the reference evaluator")
+
+
 def eval_naive(ctx: RingContext, f: Formula, env: dict[str, int] | None = None) -> bool:
     """Truth of f in Z_m under env (read, never mutated), from f's compiled
     source; KeyError if env lacks a free variable of f."""
     names, make = _compiled(f)
     env = env or {}
-    return make(ctx.m, range(ctx.m))(*[env[n] for n in names])
+    args = [env[n] for n in names]
+    try:
+        return make(ctx.m, range(ctx.m))(*args)
+    except RecursionError:
+        raise _too_deep() from None
 
 
 def naive_rows(ctx: RingContext, f: Formula, cols: Sequence[str], cap: int) -> list:
@@ -197,11 +207,14 @@ def naive_rows(ctx: RingContext, f: Formula, cols: Sequence[str], cap: int) -> l
     holds = make(ctx.m, range(ctx.m))
     where = {col: i for i, col in enumerate(cols)}
     pick = [where[n] for n in names]  # KeyError for a free name not in cols
-    return [
-        vals
-        for vals in itertools.product(range(ctx.m), repeat=len(cols))
-        if holds(*[vals[i] for i in pick])
-    ]
+    try:
+        return [
+            vals
+            for vals in itertools.product(range(ctx.m), repeat=len(cols))
+            if holds(*[vals[i] for i in pick])
+        ]
+    except RecursionError:
+        raise _too_deep() from None
 
 
 def eval_sentence(

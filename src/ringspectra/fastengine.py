@@ -22,7 +22,12 @@ the count filter compare assignments by one order-preserving int64 key
 (_keys): base-m digits while they fit, ranks from np.unique beyond.  Where
 m**k, the number of keys, is at most _DENSE a row plus _DENSE_SLACK, dedup,
 grouping and the count filter index an array with a slot per key, as the
-complement always does, and elsewhere sort or search the keys.
+complement always does, and elsewhere sort or search the keys.  Dedup and
+grouping first test whether the keys never decrease, as those of the TIMES
+table over (x, z) do, and then take each run of equal keys as a group with
+no sort at all: an interesting order in the sense of Selinger et al.,
+"Access Path Selection in a Relational Database Management System"
+(SIGMOD 1979), observed from the input rather than declared.
 
 _compile also tags every plan node with its strategy (_tag), once per
 sentence, and eval_rel runs the kernel of that tag in _KERNELS.  A sweep
@@ -106,7 +111,10 @@ class Relation:
     is the column of cols[i]; its n columns are unique assignments.  The
     zero-column relations are TRUE, shape (0, 1), and FALSE, shape (0, 0).
     Assignment order is unspecified except for relations returned by
-    eval_fast, which are sorted lexicographically."""
+    eval_fast, which are sorted lexicographically, and for TIMES over three
+    variables, whose triples come in (x, y) order (_times_table).  Dedup and
+    grouping observe the order they are given: where the keys of the
+    columns they keep never decrease, they read groups as runs, unsorted."""
 
     cols: tuple[str, ...]
     data: np.ndarray
@@ -165,10 +173,10 @@ def _charge(ctx: RingContext, n: int, node: Formula) -> None:
 
 def _pack(columns, m: int) -> np.ndarray:
     """Keys base m of assignments with values in [0, m), given as their
-    columns; _decode_keys inverts it."""
-    key = np.array(columns[0], dtype=np.int64)
+    columns, one column being its own keys; _decode_keys inverts it."""
+    key = np.asarray(columns[0], dtype=np.int64)
     for col in columns[1:]:
-        key *= m
+        key = key * m
         key += col
     return key
 
@@ -177,6 +185,8 @@ def _decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
     """The (k, n) base-m digits of keys, most significant first: the
     assignments that _pack gave these keys, and for keys arange(lo, hi)
     that stretch of the grid Z_m^k."""
+    if k == 1:
+        return keys.reshape(1, -1)
     data = np.empty((k, keys.size), dtype=np.int64)
     rest = keys.copy()
     for row in data[::-1]:
@@ -218,21 +228,50 @@ def _sorted_unique(keys: np.ndarray, counts: bool = False, domain: int | None = 
         seen[keys] = True
         return np.flatnonzero(seen)
     keys = np.sort(keys)
+    first = _run_starts(keys)
+    uniq = keys[first]
+    return (uniq, _run_lengths(first)) if counts else uniq
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Flags where each run of equal adjacent keys starts."""
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    uniq = keys[first]
-    if not counts:
-        return uniq
-    return uniq, np.diff(np.append(np.flatnonzero(first), keys.size))
+    return first
+
+
+def _run_lengths(first: np.ndarray) -> np.ndarray:
+    """The length of each run, given the flags where runs start."""
+    return np.diff(np.append(np.flatnonzero(first), first.size))
+
+
+def _in_order(keys: np.ndarray) -> bool:
+    """Whether keys never decrease: then their runs are their groups, read
+    without a sort."""
+    return bool((keys[1:] >= keys[:-1]).all())
+
+
+def _compress_columns(flags: np.ndarray, columns) -> np.ndarray:
+    """The (k, g) array of the flagged rows of k columns, given as a (k, n)
+    array or a list of its columns."""
+    idx = np.flatnonzero(flags)
+    out = np.empty((len(columns), idx.size), dtype=np.int64)
+    for row, col in zip(out, columns):
+        # with the default mode="raise", np.take buffers out
+        np.take(col, idx, out=row, mode="clip")
+    return out
 
 
 def _dedup(data, m: int) -> np.ndarray:
     """The unique assignments of (k, n) data, given as an array or as the
-    list of its k columns, in lexicographic order."""
+    list of its k columns, in lexicographic order.  Keys in order keep the
+    first row of each run, with no sort and no decode."""
     if len(data) == 0 or len(data[0]) <= 1:
         return np.asarray(data)[:, :1]
     (key,), decode, domain = _keys(m, data)
+    if _in_order(key):
+        return _compress_columns(_run_starts(key), data)
     return decode(_sorted_unique(key, domain=domain))
 
 
@@ -339,7 +378,8 @@ def _complement(ctx: RingContext, rel: Relation, node: Formula) -> Relation:
 
 def _group_drop(ctx: RingContext, rel: Relation, v: str):
     """Group assignments by all variables except v; returns (cols, groups,
-    counts), groups a (len(cols), g) array in lexicographic order.
+    counts), groups a (len(cols), g) array in lexicographic order.  Keys in
+    order give the groups as their runs, with no sort and no decode.
 
     Without a v column, every row stands for all m values of v."""
     if v not in rel.cols:
@@ -348,7 +388,11 @@ def _group_drop(ctx: RingContext, rel: Relation, v: str):
     V0 = tuple(c for c in rel.cols if c != v)
     if not V0:
         return V0, _true_rel().data, np.array([rel.nrows])
-    (key,), decode, domain = _keys(ctx.m, _columns(rel, V0))
+    columns = _columns(rel, V0)
+    (key,), decode, domain = _keys(ctx.m, columns)
+    if _in_order(key):
+        first = _run_starts(key)
+        return V0, _compress_columns(first, columns), _run_lengths(first)
     uk, counts = _sorted_unique(key, counts=True, domain=domain)
     return V0, decode(uk), counts
 
@@ -625,44 +669,52 @@ def _divides_table(G: int, m: int) -> np.ndarray:
 _TIMES_TABLE: dict = {"bound": 0, "rows": None}
 
 
-def _times_table(ctx: RingContext, m: int, node: Formula) -> np.ndarray:
-    """Triples (x, y, x*y) with x, y >= 1 and x*y < m, in (x, y) order, as
-    the (n, 3) view of a (3, n) array.
+def _times_table(ctx: RingContext, m: int, node: Formula, slots: list[int]) -> np.ndarray:
+    """The relation TIMES(x, y, z) over Z_m, built in one pass: a read-only
+    (3, n + 2m - 1) array, n the products x*y < m of x, y >= 1, whose row i
+    holds slot slots[i] (0 for x, 1 for y, 2 for z = x*y).  Its triples
+    come in (x, y) order, from x = 0 and y = 0 on, so z never decreases
+    within each x, and keys packed over (x, z) are already sorted.
 
-    Cached for the last modulus only, so the TIMES atoms of one evaluation
-    share one build; the old table is dropped before the next is built, so
-    a process never holds two, and whether m fits never depends on what ran
-    before."""
+    Cached for the last modulus only, in the row order of the atom that
+    built it, so the TIMES atoms of one evaluation share one build; the old
+    table is dropped before the next is built, so a process never holds
+    two, and whether m fits never depends on what ran before."""
     if _TIMES_TABLE["bound"] != m:
         _TIMES_TABLE.update(bound=0, rows=None)
-        x_range = np.arange(1, m, dtype=np.int64)
-        counts = (m - 1) // x_range
+        # how many y each x takes: y = 0 and each x*y < m, which at x = 0
+        # is all of Z_m, as at x = 1
+        counts = (m - 1) // np.arange(m, dtype=np.int64).clip(1) + 1
         total = int(counts.sum())
-        _charge(ctx, total, node)
-        x = np.repeat(x_range, counts)
-        offsets = np.cumsum(counts) - counts
-        y = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + 1
-        _TIMES_TABLE.update(bound=m, rows=np.array([x, y, x * y]).T)
+        _charge(ctx, total - 2 * m + 1, node)  # the n products
+        rows = np.empty((3, total), dtype=np.int64)
+        x, y, z = (rows[slots.index(i)] for i in range(3))
+        x[:] = np.repeat(np.arange(m, dtype=np.int64), counts)
+        np.subtract(np.arange(total), np.repeat(np.cumsum(counts) - counts, counts), out=y)
+        np.multiply(x, y, out=z)
+        rows.flags.writeable = False
+        _TIMES_TABLE.update(bound=m, rows=rows)
     return _TIMES_TABLE["rows"]
 
 
 def _times_rel(ctx: RingContext, p: _Plan) -> Relation:
+    """TIMES over three distinct variables: the table, uncopied where it was
+    built for an atom whose slots' names sort as this one's do, else with
+    its rows permuted into this atom's name order."""
     m = ctx.m
     node = p.node
-    slots = (node.x, node.y, node.z)
-    table = _times_table(ctx, m, node).T
-    n = table.shape[1]
-    _charge(ctx, n + 2 * m, node)
-    # the products below m, then 0 * y = 0 and x * 0 = 0, with each slot's
-    # column written straight to its row in name order
-    names = [s.name for s in slots]
-    order = sorted(range(3), key=names.__getitem__)
-    data = np.zeros((3, n + 2 * m - 1), dtype=np.int64)
-    for row, i in zip(data, order):
-        row[:n] = table[i]
-    data[order.index(1), n : n + m] = np.arange(m)
-    data[order.index(0), n + m :] = np.arange(1, m)
-    return Relation(tuple(sorted(names)), data)
+    names = [s.name for s in (node.x, node.y, node.z)]
+    slots = sorted(range(3), key=names.__getitem__)
+    table = _times_table(ctx, m, node, slots)
+    _charge(ctx, table.shape[1] + 1, node)  # n + 2m
+    if m > 1:
+        # the rows of x and y: in (x, y) order the triples (0, 1, 0) and
+        # (1, 0, 0) come at 1 and at m
+        x, y = int(table[:, m].argmax()), int(table[:, 1].argmax())
+        at = [(x, y, 3 - x - y)[i] for i in slots]
+        if at != [0, 1, 2]:
+            table = table[at]
+    return Relation(tuple(sorted(names)), table)
 
 
 def _times_two_var(ctx: RingContext, p: _Plan) -> Relation:
@@ -792,16 +844,20 @@ def _holds(q: Formula, cnt: np.ndarray, m: int, cols: dict) -> np.ndarray:
 
 
 def _apply_filters(ctx: RingContext, cur: Relation, filters: list[_Filter]) -> Relation:
+    """Keep the rows of cur that pass every filter over its columns, in one
+    compress, and drop those filters from filters."""
+    mask = None
     rest = []
     for flt in filters:
-        if flt.vars <= set(cur.cols):
-            if cur.nrows:
-                mask = flt.fn(dict(zip(cur.cols, cur.data)))
-                cur = Relation(cur.cols, np.compress(mask, cur.data, axis=1))
-        else:
+        if not flt.vars <= set(cur.cols):
             rest.append(flt)
+        elif cur.nrows:
+            hit = flt.fn(dict(zip(cur.cols, cur.data)))
+            mask = hit if mask is None else mask & hit
     filters[:] = rest
-    return cur
+    if mask is None:
+        return cur
+    return Relation(cur.cols, np.compress(mask, cur.data, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -953,8 +1009,8 @@ def _union(*names: Iterable[str]) -> tuple[str, ...]:
 def _compile(formula: Formula) -> _Plan:
     """The plan of a formula, by one walk whose context is whether a node
     is read positively and the new names of the variables bound above it.
-    A term's result is the renamed term, its variables and its polynomial
-    over sorted multisets of variable names."""
+    A term's result is the renamed term, its variables and its polynomial,
+    whose monomials are tuples of (variable, exponent) sorted by name."""
     fresh = itertools.count(1)
 
     def negated(p: _Plan) -> _Plan:
@@ -963,7 +1019,7 @@ def _compile(formula: Formula) -> _Plan:
     def visit(f, positive: bool, names: dict):
         if isinstance(f, Var):
             name = names.get(f.name, f.name)
-            return Var(name), {name}, {(name,): 1}
+            return Var(name), {name}, {((name, 1),): 1}
         if isinstance(f, Lit):
             return f, set(), {(): f.value}
         if isinstance(f, (Add, Mul)):
@@ -977,7 +1033,10 @@ def _compile(formula: Formula) -> _Plan:
             else:
                 for ea, ca in ap.items():
                     for eb, cb in bp.items():
-                        e = tuple(sorted(ea + eb))
+                        powers = dict(ea)
+                        for v, k in eb:
+                            powers[v] = powers.get(v, 0) + k
+                        e = tuple(sorted(powers.items()))
                         out[e] = out.get(e, 0) + ca * cb
             return type(f)(a, b), av | bv, out
         if isinstance(f, _ATOMS):
@@ -991,7 +1050,7 @@ def _compile(formula: Formula) -> _Plan:
                 diff = dict(lp)
                 for e, c in rp.items():
                     diff[e] = diff.get(e, 0) - c
-                poly = {tuple(e.count(v) for v in fv): c for e, c in diff.items() if c}
+                poly = {tuple(dict(e).get(v, 0) for v in fv): c for e, c in diff.items() if c}
             p = _Plan(type(f)(*(t[0] for t in terms)), fv, (), poly)
             return p if positive else negated(p)
         if isinstance(f, Not):

@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import gc
 import io
+import itertools
 import keyword
 import math
 import random
@@ -388,6 +389,36 @@ def test_fast_engine_refuses_formulas_nested_too_deep():
                 pytest.fail("RecursionError, not ResourceLimitError", pytrace=False)
             else:
                 pytest.fail("no ResourceLimitError")
+
+
+def test_reference_refuses_quantifiers_nested_too_deep():
+    # each quantifier is a def of the generated source that calls the next
+    deep = Equal(Var("x0"), Var("x0"))
+    for i in range(1100):
+        deep = Exists(f"x{i}", deep)
+    for run in (
+        lambda: eval_sentence(deep, 1, engine="naive"),
+        lambda: eval_sentence(deep, 1, engine="both"),
+        lambda: naive_rows(RingContext(1), deep, (), 1),
+    ):
+        try:
+            run()
+        except ResourceLimitError as exc:
+            assert "nested too deeply" in str(exc)
+        except RecursionError:  # too deep a traceback for pytest to print
+            pytest.fail("RecursionError, not ResourceLimitError", pytrace=False)
+        else:
+            pytest.fail("no ResourceLimitError")
+
+
+def test_compile_multiplies_monomials_by_exponents():
+    # a chain of 1000 factors is one monomial of exponent 1000
+    power = Var("x")
+    for _ in range(999):
+        power = Mul(power, Var("x"))
+    assert fastengine._compile(Equal(power, Lit(2))).poly == {(1000,): 1, (0,): -2}
+    mixed = Equal(Mul(Mul(Var("y"), Var("x")), Var("y")), Add(Var("x"), Lit(3)))
+    assert fastengine._compile(mixed).poly == {(1, 2): 1, (1, 0): -1, (0, 0): -3}
 
 
 def test_fast_engine_rejects_free_variables_before_evaluating(monkeypatch):
@@ -887,6 +918,77 @@ def test_group_drop_matches_numpy_unique():
     assert np.array_equal(counts, want_counts)
 
 
+def _dedup_cases():
+    """(m, (k, n) data) for each key order: sorted, reversed and
+    duplicate-heavy, over k = 1..3 columns, in dense domains (m**k at most
+    4n + 1024), sparse ones and ranked ones (m**k beyond int64), with n = 0
+    and n = 1 as well."""
+    rng = np.random.default_rng(9)
+    cases = []
+    for k, m in itertools.product((1, 2, 3), (5, 10**6, 4_999_999)):
+        for n in (0, 1, 2, 300):
+            rows = rng.integers(0, m, (n, k))
+            dups = np.repeat(rows[: max(n // 30, 1)], 30, axis=0)[:n]
+            for data in (rows, dups):
+                ordered = np.unique(data, axis=0) if n else data
+                ordered = np.repeat(ordered, 2, axis=0)  # sorted, with repeats
+                for case in (data, ordered, ordered[::-1]):
+                    cases.append((m, np.ascontiguousarray(case.T, dtype=np.int64)))
+    return cases
+
+
+def _watch_in_order(monkeypatch):
+    """Wrap fastengine._in_order; returns a count of (caller, keys in
+    order) over its calls."""
+    fired = collections.Counter()
+    real = fastengine._in_order
+
+    def in_order(keys):
+        out = real(keys)
+        fired[sys._getframe(1).f_code.co_name, out] += 1
+        return out
+
+    monkeypatch.setattr(fastengine, "_in_order", in_order)
+    return fired
+
+
+def test_dedup_and_group_drop_match_numpy_unique(monkeypatch):
+    # keys that never decrease take the runs, others the dense or sort path
+    fired = _watch_in_order(monkeypatch)
+    for m, data in _dedup_cases():
+        k, n = data.shape
+        want, want_counts = np.unique(data, axis=1, return_counts=True)
+        for got in (fastengine._dedup(data, m), fastengine._dedup(list(data), m)):
+            assert got.dtype == np.int64 and np.array_equal(got, want), (m, data)
+        # the same rows as groups, with the variable dropped last by name
+        v = np.arange(n, dtype=np.int64) % m
+        names = tuple("abc"[:k]) + ("v",)
+        rel = fastengine.Relation(names, np.concatenate([data, v[None]]))
+        cols, groups, counts = fastengine._group_drop(RingContext(m), rel, "v")
+        assert cols == names[:-1]
+        assert np.array_equal(groups, want) and np.array_equal(counts, want_counts), (m, data)
+    for caller in ("_dedup", "_group_drop"):
+        assert fired[caller, True] > 0 and fired[caller, False] > 0, caller
+
+
+def test_times_in_every_slot_order_agrees_with_the_reference(monkeypatch):
+    # in (x, y) order the TIMES table's keys over (x, z) never decrease, so
+    # dropping y takes the runs; where the names sort otherwise, or another
+    # slot is dropped, keys go the dense or sort path.  At each modulus the
+    # table is built for the first order and permuted for the others
+    fired = _watch_in_order(monkeypatch)
+    sentences = [
+        parse_sentence(f"E[1,3] x. E[0,2] z. ({q} y. TIMES(%s, %s, %s))" % names)
+        for names in itertools.permutations("xyz")
+        for q in ("E", "E[1,2]", "C>=(x)")
+    ]
+    for m in range(1, 31):
+        for s in sentences:
+            eval_sentence(s, m, engine="both")
+    for caller in ("_dedup", "_group_drop"):
+        assert fired[caller, True] > 0 and fired[caller, False] > 0, caller
+
+
 def _path_cases():
     """Claim 12's first 100 sentences at m = 1..12, and a sentence of every
     family at a few primes."""
@@ -1162,7 +1264,8 @@ def test_times_table_outcome_does_not_depend_on_order(monkeypatch):
     # with room to spare, the table holds exactly the last modulus's products
     _times_outcomes([101, 4099, 4111, 4127], 10**7)
     assert fastengine._TIMES_TABLE["bound"] == 4127
-    assert fastengine._TIMES_TABLE["rows"].shape == (34_986, 3)  # sum of 4126 // a
+    # the products, sum of 4126 // a, and the rows with x = 0 or y = 0
+    assert fastengine._TIMES_TABLE["rows"].shape == (3, 34_986 + 2 * 4127 - 1)
 
 
 def test_times_table_is_rebuilt_for_exactly_the_next_modulus(monkeypatch):
@@ -1170,7 +1273,7 @@ def test_times_table_is_rebuilt_for_exactly_the_next_modulus(monkeypatch):
     monkeypatch.setattr(fastengine, "_TIMES_TABLE", {"bound": 0, "rows": None})
     assert _times_outcomes([4099, 4111], 10**7) == [True, True]
     assert fastengine._TIMES_TABLE["bound"] == 4111
-    assert fastengine._TIMES_TABLE["rows"].shape == (34_846, 3)  # sum of 4110 // a
+    assert fastengine._TIMES_TABLE["rows"].shape == (3, 34_846 + 2 * 4111 - 1)  # sum of 4110 // a
 
 
 def _plan_nodes(plan):
