@@ -12,8 +12,9 @@ extensions and selections gather along its second axis.  Conjunction joins
 relations and folds comparison atoms in as vectorized filters; quantifiers
 aggregate per-group witness counts, and C>=(t) adds the rows where t = 0.
 Atoms are solved analytically where possible: a linear congruence, with a
-constant or a per-row coefficient, for all its rows at once, and the
-integer-product predicate from divisor tables.  A one-variable equation of
+constant or a per-row coefficient, for all its rows at once, and a TIMES
+atom over two or three names as the run of y that each x takes, which its
+literals and repeated names fix (_times_rel).  A one-variable equation of
 higher degree takes its roots from gcd(f, x^m - x) at a prime m above
 arith.ROOT_SCAN_LIMIT and from Horner evaluation over all residues
 elsewhere, and other atoms are solved by vectorized scans of their
@@ -111,10 +112,10 @@ class Relation:
     is the column of cols[i]; its n columns are unique assignments.  The
     zero-column relations are TRUE, shape (0, 1), and FALSE, shape (0, 0).
     Assignment order is unspecified except for relations returned by
-    eval_fast, which are sorted lexicographically, and for TIMES over three
-    variables, whose triples come in (x, y) order (_times_table).  Dedup and
-    grouping observe the order they are given: where the keys of the
-    columns they keep never decrease, they read groups as runs, unsorted."""
+    eval_fast, which are sorted lexicographically, and for TIMES, whose
+    pairs come in (x, y) order (_times_runs).  Dedup and grouping observe
+    the order they are given: where the keys of the columns they keep
+    never decrease, they read groups as runs, unsorted."""
 
     cols: tuple[str, ...]
     data: np.ndarray
@@ -129,16 +130,8 @@ class Relation:
         return self.data.T
 
 
-def _true_rel() -> Relation:
-    return Relation((), np.zeros((0, 1), dtype=np.int64))
-
-
-def _false_rel() -> Relation:
-    return Relation((), np.zeros((0, 0), dtype=np.int64))
-
-
 def _bool_rel(value: bool) -> Relation:
-    return _true_rel() if value else _false_rel()
+    return Relation((), np.zeros((0, int(value)), dtype=np.int64))
 
 
 def _empty(cols: tuple[str, ...]) -> Relation:
@@ -383,11 +376,11 @@ def _group_drop(ctx: RingContext, rel: Relation, v: str):
 
     Without a v column, every row stands for all m values of v."""
     if v not in rel.cols:
-        groups = _dedup(rel.data, ctx.m) if rel.cols else _true_rel().data
+        groups = _dedup(rel.data, ctx.m) if rel.cols else _bool_rel(True).data
         return rel.cols, groups, np.full(groups.shape[1], ctx.m if rel.nrows else 0)
     V0 = tuple(c for c in rel.cols if c != v)
     if not V0:
-        return V0, _true_rel().data, np.array([rel.nrows])
+        return V0, _bool_rel(True).data, np.array([rel.nrows])
     columns = _columns(rel, V0)
     (key,), decode, domain = _keys(ctx.m, columns)
     if _in_order(key):
@@ -669,111 +662,91 @@ def _divides_table(G: int, m: int) -> np.ndarray:
 _TIMES_TABLE: dict = {"bound": 0, "rows": None}
 
 
-def _times_table(ctx: RingContext, m: int, node: Formula, slots: list[int]) -> np.ndarray:
-    """The relation TIMES(x, y, z) over Z_m, built in one pass: a read-only
-    (3, n + 2m - 1) array, n the products x*y < m of x, y >= 1, whose row i
-    holds slot slots[i] (0 for x, 1 for y, 2 for z = x*y).  Its triples
-    come in (x, y) order, from x = 0 and y = 0 on, so z never decreases
-    within each x, and keys packed over (x, z) are already sorted.
-
-    Cached for the last modulus only, in the row order of the atom that
-    built it, so the TIMES atoms of one evaluation share one build; the old
-    table is dropped before the next is built, so a process never holds
-    two, and whether m fits never depends on what ran before."""
-    if _TIMES_TABLE["bound"] != m:
-        _TIMES_TABLE.update(bound=0, rows=None)
-        # how many y each x takes: y = 0 and each x*y < m, which at x = 0
-        # is all of Z_m, as at x = 1
-        counts = (m - 1) // np.arange(m, dtype=np.int64).clip(1) + 1
-        total = int(counts.sum())
-        _charge(ctx, total - 2 * m + 1, node)  # the n products
-        rows = np.empty((3, total), dtype=np.int64)
-        x, y, z = (rows[slots.index(i)] for i in range(3))
-        x[:] = np.repeat(np.arange(m, dtype=np.int64), counts)
-        np.subtract(np.arange(total), np.repeat(np.cumsum(counts) - counts, counts), out=y)
-        np.multiply(x, y, out=z)
-        rows.flags.writeable = False
-        _TIMES_TABLE.update(bound=m, rows=rows)
-    return _TIMES_TABLE["rows"]
+def _times_runs(ctx: RingContext, node: Formula, rows: list[int], xs, lo, hi) -> np.ndarray:
+    """The pairs of TIMES(x, y, z) with x in xs, ascending, and y in [lo, hi)
+    for each x, as a (len(rows), n) array in (x, y) order whose row i holds
+    slot rows[i] (0 x, 1 y, 2 z = x*y).  The three-name table gives lo = 0
+    and hi an array over xs, each x repeated hi times; any other atom gives
+    lo an array over xs and hi the end of the first x's run, each later x
+    taking the one y lo."""
+    table = isinstance(hi, np.ndarray)
+    n = 0 if table else int(hi - lo[0])
+    total = int(hi.sum()) if table else n + len(xs) - 1
+    _charge(ctx, total, node)
+    out = np.empty((len(rows), total), dtype=np.int64)
+    row = dict(zip(rows, out))
+    if table:
+        row[0][:] = np.repeat(xs, hi)
+        np.subtract(np.arange(total), np.repeat(np.cumsum(hi) - hi, hi), out=row[1])
+        np.multiply(row[0], row[1], out=row[2])
+        return out
+    parts = [(slice(0, n), xs[0], np.arange(lo[0], hi, dtype=np.int64))]
+    if n < total:
+        parts.append((slice(n, total), xs[1:], lo[1:]))
+    for part, xv, yv in parts:
+        for slot, r in row.items():
+            if slot == 2:
+                np.multiply(xv, yv, out=r[part])
+            else:
+                r[part] = (xv, yv)[slot]
+    return out
 
 
 def _times_rel(ctx: RingContext, p: _Plan) -> Relation:
-    """TIMES over three distinct variables: the table, uncopied where it was
-    built for an atom whose slots' names sort as this one's do, else with
-    its rows permuted into this atom's name order."""
+    """TIMES over two or three names, from the runs of y that _times_runs
+    lists for each x.  As x*y = y*x, a literal factor, or the factor that z
+    repeats, goes in the x slot, and then a literal or a repeated name is
+    fixed by the choice of x and of its run alone:
+
+        three names          x < m          y <= (m - 1)/max(x, 1)
+        a literal factor q   x = q          y <= (m - 1)/max(q, 1)
+        z a literal c != 0   x divides c    y = c/x
+        z = 0, or z = x      x < m          all y at x = 0, else y = 0 (y = 1)
+        x = y                x*x < m        y = x
+
+    The three-name table is kept for the last modulus only, in the row
+    order of the atom that built it, and dropped before the next is built,
+    so whether m fits never depends on what ran before."""
     m = ctx.m
     node = p.node
-    names = [s.name for s in (node.x, node.y, node.z)]
-    slots = sorted(range(3), key=names.__getitem__)
-    table = _times_table(ctx, m, node, slots)
-    _charge(ctx, table.shape[1] + 1, node)  # n + 2m
-    if m > 1:
-        # the rows of x and y: in (x, y) order the triples (0, 1, 0) and
-        # (1, 0, 0) come at 1 and at m
-        x, y = int(table[:, m].argmax()), int(table[:, 1].argmax())
-        at = [(x, y, 3 - x - y)[i] for i in slots]
-        if at != [0, 1, 2]:
-            table = table[at]
-    return Relation(tuple(sorted(names)), table)
-
-
-def _times_two_var(ctx: RingContext, p: _Plan) -> Relation:
-    m = ctx.m
-    node = p.node
-    sx, sy, sz = slots = (node.x, node.y, node.z)
-    vals = [s.value % m if isinstance(s, Lit) else None for s in slots]
-    if vals[2] is not None:
-        c = vals[2]
-        if c == 0:
-            grid = np.arange(m, dtype=np.int64)
-            zeros = np.zeros(m, dtype=np.int64)
-            _charge(ctx, 2 * m, node)
-            xs = np.concatenate([zeros, grid[1:]])
-            ys = np.concatenate([grid, zeros[1:]])
-        else:
-            pairs = []
-            d = 1
-            while d * d <= c:
-                if c % d == 0:
-                    pairs.append((d, c // d))
-                    if d != c // d:
-                        pairs.append((c // d, d))
-                d += 1
-            pairs.sort()
-            _charge(ctx, len(pairs), node)
-            xs = np.array([p[0] for p in pairs], dtype=np.int64)
-            ys = np.array([p[1] for p in pairs], dtype=np.int64)
-        return _make_rel((sx.name, sy.name), [xs, ys])
-    if vals[0] is not None or vals[1] is not None:
-        q = vals[0] if vals[0] is not None else vals[1]
-        other = sy.name if vals[0] is not None else sx.name
-        if q == 0:
-            grid = np.arange(m, dtype=np.int64)
-            _charge(ctx, m, node)
-            return _make_rel((other, sz.name), [grid, np.zeros(m, np.int64)])
-        n = (m - 1) // q + 1
-        _charge(ctx, n, node)
-        b = np.arange(n, dtype=np.int64)
-        return _make_rel((other, sz.name), [b, q * b])
-    # three variable slots, one name repeated
-    grid = np.arange(m, dtype=np.int64)
-    if sx.name == sy.name:
-        k = math.isqrt(m - 1) if m > 1 else 0
-        _charge(ctx, k + 1, node)
-        a = np.arange(k + 1, dtype=np.int64)
-        return _make_rel((sx.name, sz.name), [a, a * a])
-    if sx.name == sz.name:
-        # a*b = a: a = 0 with b free, or b = 1 with a free
-        _charge(ctx, 2 * m, node)
-        aa = np.concatenate([np.zeros(m, np.int64), grid])
-        bb = np.concatenate([grid, np.full(m, 1 % m, np.int64)])
+    swap = isinstance(node.y, Lit) or node.y == node.z
+    x, y, z = (node.y, node.x, node.z) if swap else (node.x, node.y, node.z)
+    names = [s.name if isinstance(s, Var) else "" for s in (x, y, z)]
+    cols = tuple(sorted(set(names) - {""}))
+    rows = [names.index(c) for c in cols]
+    table = len(rows) == 3
+    if table and _TIMES_TABLE["bound"] == m:
+        out = _TIMES_TABLE["rows"]
+        _charge(ctx, out.shape[1], node)
+        if m > 1:
+            # in (x, y) order, column m is (1, 0, 0) and column 1 is (0, 1, 0)
+            at_x, at_y = int(out[:, m].argmax()), int(out[:, 1].argmax())
+            at = [(at_x, at_y, 3 - at_x - at_y)[i] for i in rows]
+            if at != [0, 1, 2]:
+                out = out[at]
+        return Relation(cols, out)
+    if table:
+        _TIMES_TABLE.update(bound=0, rows=None)
+        xs = np.arange(m, dtype=np.int64)
+        lo, hi = 0, (m - 1) // xs.clip(1) + 1
+    elif isinstance(x, Lit):
+        q = x.value % m
+        xs, lo, hi = np.array([q]), np.zeros(1, dtype=np.int64), (m - 1) // max(q, 1) + 1
+    elif isinstance(z, Lit) and (c := z.value % m):
+        xs = _divisors(c)
+        lo, hi = c // xs, c + 1
+    elif x == y:
+        xs = lo = np.arange(math.isqrt(m - 1) + 1, dtype=np.int64)
+        hi = 1
     else:
-        # sy.name == sz.name: a*b = b
-        _charge(ctx, 2 * m, node)
-        aa = np.concatenate([grid, np.full(m, 1 % m, np.int64)])
-        bb = np.concatenate([np.zeros(m, np.int64), grid])
-    rel = _make_rel((sx.name, sy.name), [aa, bb])
-    return Relation(rel.cols, _dedup(rel.data, m))
+        xs = np.arange(m, dtype=np.int64)
+        lo = np.full(m, int(isinstance(z, Var)), dtype=np.int64)
+        lo[0], hi = 0, m
+    out = _times_runs(ctx, node, rows, xs, lo, hi)
+    if table:
+        out.flags.writeable = False
+        _TIMES_TABLE.update(bound=m, rows=out)
+    return Relation(cols, out)
 
 
 # ---------------------------------------------------------------------------
@@ -986,7 +959,7 @@ def _tag(p: _Plan) -> str:
             return "linear const" if split and split[1].keys() == {(0,)} else "pair"
         if isinstance(atom, IntTimes) and k >= 2 and not negate:
             if all(isinstance(s, (Var, Lit)) for s in (atom.x, atom.y, atom.z)):
-                return "times pair" if k == 2 else "times table"
+                return "times"
         return "scan" if k == 1 else "grid scan"
     if negate:
         return "complement" if k <= 1 else "wide complement"
@@ -1201,7 +1174,7 @@ def _eval_and(
             filters.append(_count_filter(ctx, c))
         else:
             rels.append(eval_rel(ctx, c))
-    cur = _true_rel()
+    cur = _bool_rel(True)
     while rels:
         if cur.nrows == 0:
             return _empty(target)
@@ -1297,18 +1270,16 @@ def _exists_rel(ctx: RingContext, p: _Plan) -> Relation:
     return Relation(p.fv, np.flatnonzero(mask).reshape(1, -1))
 
 
-def _mod_count_rel(ctx: RingContext, p: _Plan) -> Relation:
+def _count_rel(ctx: RingContext, p: _Plan) -> Relation:
+    """E[r,q] v., M v., and C>=(t) v. for a constant t: the groups of the
+    body whose witness counts hold (_holds), or, where a count of 0 holds
+    too, the complement of the groups whose counts fail."""
     node = p.node
     V0, groups, counts = _group_drop(ctx, eval_rel(ctx, p.kids[0]), node.var)
-    hit = counts % node.modulus == node.residue
-    if node.residue != 0:
-        return Relation(V0, np.compress(hit, groups, axis=1))
-    return _complement(ctx, Relation(V0, np.compress(~hit, groups, axis=1)), node)
-
-
-def _majority_rel(ctx: RingContext, p: _Plan) -> Relation:
-    V0, groups, counts = _group_drop(ctx, eval_rel(ctx, p.kids[0]), p.node.var)
-    return Relation(V0, np.compress(2 * counts > ctx.m, groups, axis=1))
+    hit = _holds(node, counts, ctx.m, {})
+    if _holds(node, 0, ctx.m, {}):
+        return _complement(ctx, Relation(V0, np.compress(~hit, groups, axis=1)), node)
+    return Relation(V0, np.compress(hit, groups, axis=1))
 
 
 def _count_ge_rel(ctx: RingContext, p: _Plan) -> Relation:
@@ -1316,26 +1287,20 @@ def _count_ge_rel(ctx: RingContext, p: _Plan) -> Relation:
     t = 0, and where t >= 1 only at a group of the body with t <= count.  The
     rows of the atom t = 0, extended to p.fv, and the passing groups with
     t >= 1 are disjoint by t, so they need no dedup.  A constant t decides
-    once; the passing groups test t over group columns at each group, take
-    a sorted prefix of the nonzero values of fresh t, or test t at each
-    group and assignment of the variables it adds."""
+    once (_count_rel); the passing groups take a sorted prefix of the
+    nonzero values of fresh t, or test t at each group and assignment of
+    the variables it adds, none where t is over group columns only."""
+    tf = p.kids[1].fv
+    if not tf:
+        return _count_rel(ctx, p)
     node = p.node
     m = ctx.m
     V0, groups, counts = _group_drop(ctx, eval_rel(ctx, p.kids[0]), node.var)
     t = node.count
-    tf = p.kids[1].fv
-    if not tf:
-        val = _eval_term_cols(m, t, {})
-        if val == 0:
-            return _complement(ctx, _empty(V0), node)
-        return Relation(V0, np.compress(counts >= val, groups, axis=1))
     # the kernel of t = 0, given p so that its errors name p (_atom_of)
     zero = _extend_to(ctx, _KERNELS[p.kids[1].tag](ctx, p), p.fv, node)
     ex = tuple(c for c in tf if c not in V0)
-    if not ex:
-        tv = _eval_term_cols(m, t, dict(zip(V0, groups)))
-        passing = np.compress((tv != 0) & (counts >= tv), groups, axis=1)
-    elif len(ex) == len(tf):
+    if len(ex) == len(tf):
         # per group, the prefix of the nonzero values of t sorted
         total_t = m ** len(tf)
         _charge(ctx, total_t, node)
@@ -1379,8 +1344,7 @@ _KERNELS: dict[str, Callable[[RingContext, _Plan], Relation]] = {
     "pair": _pair_rel,
     "scan": _grid_rel,
     "grid scan": _grid_rel,
-    "times pair": _times_two_var,
-    "times table": _times_rel,
+    "times": _times_rel,
     "and": lambda ctx, p: _eval_and(ctx, p.steps, p.node, p.fv),
     "or": _eval_or,
     "complement": _not_rel,
@@ -1388,9 +1352,9 @@ _KERNELS: dict[str, Callable[[RingContext, _Plan], Relation]] = {
     "rank": _rank_rel,
     "linear exists": _exists_rel,
     "projection": _exists_rel,
-    "mod count": _mod_count_rel,
-    "wide zero count": _mod_count_rel,
-    "majority": _majority_rel,
+    "mod count": _count_rel,
+    "wide zero count": _count_rel,
+    "majority": _count_rel,
     "count ge": _count_ge_rel,
 }
 

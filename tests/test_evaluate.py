@@ -490,7 +490,7 @@ def _counting(monkeypatch, module, name):
 def test_times_with_a_repeated_name_agrees_at_every_modulus(monkeypatch, text):
     # a*b = a and a*b = b hold at b = 1, or a = 1, which is 0 at m = 1
     s = parse_sentence(text)
-    calls = _counting(monkeypatch, fastengine, "times pair")
+    calls = _counting(monkeypatch, fastengine, "times")
     got = [eval_sentence(s, m, engine="both") for m in range(1, 13)]
     assert got[0] is True and calls
 
@@ -592,12 +592,12 @@ def test_count_ge_branches_agree_with_the_reference(monkeypatch, text, branch, z
         ("linear exists", "A x. (!(x = 0) -> E y. ((x * y) = 1))", "TTTFTFTFFFTF"),
         ("_linear_rel", "E x. E y. ((((2 * y) + x) = 3) & (x < y))", "FFFTTTTTTTTT"),
         # one sentence for each slot shape of a two-name TIMES atom
-        ("_times_two_var", "E x. E y. (TIMES(x, y, 6) & (x < y))", "FTTTFTTTTTTT"),
-        ("_times_two_var", "E x. E y. (TIMES(x, y, 0) & (1 < x))", "FFTTTTTTTTTT"),
-        ("_times_two_var", "E y. E z. (TIMES(3, y, z) & (5 < z))", "FFFTTFTTTTTT"),
-        ("_times_two_var", "E x. E z. (TIMES(x, x, z) & (2 < x))", "FTFFFFFFFTTT"),
-        ("_times_two_var", "E x. E y. (TIMES(x, y, x) & (1 < y))", "FFTTTTTTTTTT"),
-        ("_times_two_var", "E x. E y. (TIMES(x, y, y) & (1 < x))", "FFTTTTTTTTTT"),
+        ("times", "E x. E y. (TIMES(x, y, 6) & (x < y))", "FTTTFTTTTTTT"),
+        ("times", "E x. E y. (TIMES(x, y, 0) & (1 < x))", "FFTTTTTTTTTT"),
+        ("times", "E y. E z. (TIMES(3, y, z) & (5 < z))", "FFFTTFTTTTTT"),
+        ("times", "E x. E z. (TIMES(x, x, z) & (2 < x))", "FTFFFFFFFTTT"),
+        ("times", "E x. E y. (TIMES(x, y, x) & (1 < y))", "FFTTTTTTTTTT"),
+        ("times", "E x. E y. (TIMES(x, y, y) & (1 < x))", "FFTTTTTTTTTT"),
     ],
 )
 def test_fast_path_agrees_with_the_reference(monkeypatch, strategy, text, pattern):
@@ -1274,6 +1274,66 @@ def test_times_table_is_rebuilt_for_exactly_the_next_modulus(monkeypatch):
     assert _times_outcomes([4099, 4111], 10**7) == [True, True]
     assert fastengine._TIMES_TABLE["bound"] == 4111
     assert fastengine._TIMES_TABLE["rows"].shape == (3, 34_846 + 2 * 4111 - 1)  # sum of 4110 // a
+
+
+# a TIMES atom of every slot shape over two or three names: the six orders
+# of three names; a literal factor in either factor slot and a literal z,
+# with literals of m or more and literals = 0 mod m among them up to
+# m = 40; and a name repeated in each pair of slots, sorting before the
+# other name and after it
+TIMES_SHAPES = (
+    [f"TIMES({a}, {b}, {c})" for a, b, c in itertools.permutations("xyz")]
+    + [f for q in (0, 1, 3, 40, 41, 43) for f in (f"TIMES({q}, y, z)", f"TIMES(z, {q}, y)")]
+    + [f"TIMES(x, y, {c})" for c in (0, 1, 6, 12, 36, 40, 41, 72)]
+    + [f"TIMES({s})" for a, b in ("xz", "zx") for s in (f"{a}, {a}, {b}", f"{a}, {b}, {a}", f"{b}, {a}, {a}")]
+)
+
+
+def _times_by_brute_force(atom, m):
+    """The sorted names of a TIMES atom, and the set of their values over
+    {(x, y, x*y) : x*y < m} where each slot takes its literal mod m or its
+    name's one value."""
+    slots = (atom.x, atom.y, atom.z)
+    names = sorted({s.name for s in slots if isinstance(s, Var)})
+    rows = set()
+    for x in range(m):
+        for y in range((m - 1) // max(x, 1) + 1):
+            env = {}
+            if all(
+                s.value % m == v if isinstance(s, Lit) else env.setdefault(s.name, v) == v
+                for s, v in zip(slots, (x, y, x * y))
+            ):
+                rows.add(tuple(env[n] for n in names))
+    return names, rows
+
+
+def test_times_relation_agrees_with_brute_force_in_every_slot_shape(monkeypatch):
+    monkeypatch.setattr(fastengine, "_TIMES_TABLE", {"bound": 0, "rows": None})
+    calls = _counting(monkeypatch, fastengine, "times")
+    atoms = [parse_formula(text) for text in TIMES_SHAPES]
+    # at each modulus the first order of three names builds the table, and
+    # the others take it with their rows permuted
+    for m in range(1, 41):
+        for atom in atoms:
+            rel = fastengine.eval_rel(RingContext(m), fastengine._plan(atom))
+            names, want = _times_by_brute_force(atom, m)
+            got = [tuple(r) for r in rel.rows.tolist()]
+            assert list(rel.cols) == names, (atom, m)
+            assert len(got) == len(set(got)) and set(got) == want, (atom, m)
+    assert {p.node for ctx, p in calls} == set(atoms)
+
+
+def test_two_name_times_never_builds_the_table(monkeypatch):
+    # each two-name shape (the shapes after the six orders of three names)
+    # at a prime near a million writes its rows, at most 2m - 1, and
+    # charges exactly those, with no m*ln(m) table
+    monkeypatch.setattr(fastengine, "_TIMES_TABLE", {"bound": 0, "rows": None})
+    m = 1_000_003
+    for text in TIMES_SHAPES[6:]:
+        ctx = RingContext(m)
+        rel = fastengine.eval_rel(ctx, fastengine._plan(parse_formula(text)))
+        assert fastengine._TIMES_TABLE == {"bound": 0, "rows": None}, text
+        assert 0 < rel.nrows == ctx.peak_rows <= 2 * m - 1, text
 
 
 def _plan_nodes(plan):
