@@ -2,16 +2,18 @@
 
 A sweep over primes (spectra.spectrum) evaluates a run of them together
 when _KERNELS has a block kernel for the tag (fastengine._tag) of every
-node the pass evaluates (covers).  Each prime is a lane: every block
-relation carries a lane column, the index of its prime, as its first row,
-and its values in lane i lie in [0, p_i).  Joins, dedup,
-projection and grouping are fastengine's own, keyed on the lane as one more
-column, so keys pack base max(p) with the lane as their most significant
-digit; one-variable grids are ragged, arange(p_i) for each lane in turn;
-coefficients and literals are reduced per lane.  A conjunction drops the
-lanes where a ground conjunct fails before it goes on, and joins each lane
-in the order its prime alone would (fastengine._next_join).  This is
-vectorised execution in the sense of Boncz, Zukowski and Nes,
+node the pass evaluates (covers): ground atoms, one-variable equations,
+linear congruences, conjunction, E and E[r,q], and complements over at
+most one variable.  Each prime is a lane: every block relation carries a
+lane column, the index of its prime, as its first row, and its values in
+lane i lie in [0, p_i).  Joins, dedup, projection and grouping are
+fastengine's own, keyed on the lane as one more column, so keys pack base
+max(p) with the lane as their most significant digit; one-variable grids
+are ragged, arange(p_i) for each lane in turn; coefficients and literals
+are reduced per lane.  A conjunction drops the lanes where a ground
+conjunct fails before it goes on, and joins each lane in the order its
+prime alone would (fastengine._next_join).  This is vectorised execution
+in the sense of Boncz, Zukowski and Nes,
 "MonetDB/X100: Hyper-Pipelining Query Execution" (CIDR 2005).
 
 Every plan that covers refuses, and every block that runs out of tuple
@@ -35,7 +37,6 @@ from .fastengine import (
     _atom_mask,
     _atom_of,
     _charge,
-    _dedup,
     _empty,
     _Filter,
     _group_drop,
@@ -147,16 +148,11 @@ def _block_complement(
     return Relation(rel.cols, np.array([lane, cells - start[lane]]))
 
 
-def _block_scan(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
-    """An atom over at most one variable by a scan of its ragged grid: the
-    lanes themselves for a ground atom."""
+def _block_ground(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
+    """A ground atom: the lanes of lanes where it holds."""
     atom, negate = _atom_of(p)
-    grid = _lane_set(lanes)
-    for var in atom.fv:
-        grid = _block_extend(blk, grid, var, p.node)
-    cols = dict(zip(grid.cols, grid.data))
-    mask = _atom_mask(blk.moduli(cols), atom.node, cols, grid.nrows)
-    return Relation(grid.cols, np.compress(mask != negate, grid.data, axis=1))
+    mask = _atom_mask(blk.p[lanes], atom.node, {}, lanes.size)
+    return _lane_set(lanes[mask != negate])
 
 
 def _block_univar(blk: _Block, lanes: np.ndarray, plan: _Plan) -> Relation:
@@ -300,28 +296,10 @@ def _block_and(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
     return Relation((_LANE,) + target, np.concatenate(parts, axis=1))
 
 
-def _block_or(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
-    parts = []
-    for d in p.kids:
-        r = _block_rel(blk, lanes, d)
-        for var in p.fv:
-            if var not in r.cols:
-                r = _block_extend(blk, r, var, p.node)
-        parts.append(r.data)
-    data = np.concatenate(parts, axis=1)
-    _charge(blk.ctx, data.shape[1], p.node)
-    return Relation((_LANE,) + p.fv, _dedup(data, blk.ctx.m))
-
-
 def _block_project(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
     """E var.: the projection of its body's relation that drops var."""
     rel = _block_rel(blk, lanes, p.kids[0])
-    var = p.node.var
-    if var not in rel.cols:
-        return rel
-    if len(rel.cols) == 2:
-        return _lane_set(np.flatnonzero(_lane_mask(blk, rel.data[0])))
-    return _project(blk.ctx, rel, tuple(c for c in rel.cols if c != var))
+    return _project(blk.ctx, rel, tuple(c for c in rel.cols if c != p.node.var))
 
 
 def _block_mod_exists(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
@@ -329,10 +307,7 @@ def _block_mod_exists(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
     in its body's relation."""
     rel = _block_rel(blk, lanes, p.kids[0])
     f = p.node
-    if rel.cols == (_LANE, f.var):
-        counts = np.bincount(rel.data[0], minlength=blk.p.size)
-        V0, groups, counts = (_LANE,), np.flatnonzero(counts)[None], counts[counts > 0]
-    elif f.var in rel.cols:
+    if f.var in rel.cols:
         V0, groups, counts = _group_drop(blk.ctx, rel, f.var)
     else:
         # every row stands for all p values of var
@@ -345,14 +320,14 @@ def _block_mod_exists(blk: _Block, lanes: np.ndarray, p: _Plan) -> Relation:
 
 # the block kernel of each tag that has one (fastengine._tag).  A "filter"
 # step of a conjunction is a row mask in both engines and needs no kernel; a
-# "count" step (fastengine._count_filter) has no block kernel.
+# "count" step (fastengine._count_filter) has no block kernel.  Nor have
+# "or" and "grid scan": no sweep of the bench or the claims needed one, and
+# the sweep was no faster with one, so their plans go prime by prime.
 _KERNELS = {
-    "ground": _block_scan,
+    "ground": _block_ground,
     "univariate": _block_univar,
     "linear const": _block_linear_const,
-    "scan": _block_scan,
     "and": _block_and,
-    "or": _block_or,
     "complement": lambda blk, lanes, p: _block_complement(
         blk, lanes, _block_rel(blk, lanes, p.kids[0]), p.node
     ),

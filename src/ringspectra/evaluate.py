@@ -59,8 +59,9 @@ class RingContext:
     tuple_budget: int = DEFAULT_TUPLE_BUDGET
     # the largest relation charged against tuple_budget so far
     peak_rows: int = field(default=0, init=False, compare=False, repr=False)
-    # what the fast engine computed for each class of shared plan nodes
-    # (fastengine._share) at this modulus, so that it computes it once
+    # the relation the fast engine computed at this modulus for each class
+    # of shared plan nodes (fastengine._share), under the class's first
+    # node, so that it computes it once
     shared: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -41,10 +41,11 @@ by its normalised subformula, with free variables numbered by first
 occurrence and bound ones by their quantifier, and keeps the key, with the
 node's own names in that order, only where two nodes or more have it:
 psi(3) says "V is a power of 3" four times.  eval_rel caches the relation
-of such a node, and _count_filter its groups and counts, in the context's
-dict shared, and a later node of the class takes them renamed to its own
-variables.  A context serves one modulus (a sweep makes one per prime), so
-nothing cached outlives it, and unshared nodes pay one attribute test.
+of such a node in the context's dict shared, and a later node of the class
+takes it renamed to its own variables; a count filter shares the body of
+its quantifier so.  A context serves one modulus (a sweep makes one per
+prime), so nothing cached outlives it, and unshared nodes pay one
+attribute test.
 _TIMES_TABLE, the last modulus's TIMES table, stays a module global and
 not an entry of that cache: the benchmark's large-m workload and the tests
 empty it by name before an evaluation.
@@ -493,7 +494,9 @@ def _divisors(m: int) -> np.ndarray:
     """The divisors of m >= 1, ascending; m is prime when there are two."""
     d = np.arange(1, math.isqrt(m) + 1)
     small = d[m % d == 0]
-    return np.union1d(small, m // small)
+    # the cofactors descend; a square's root is its own
+    large = m // small[::-1]
+    return np.concatenate([small, large[1:] if small[-1] == large[0] else large])
 
 
 def _inverse(a: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -773,21 +776,11 @@ def _atom_filter(conj: _Plan, moduli: Callable[[dict], int | np.ndarray]) -> _Fi
 
 
 def _count_filter(ctx: RingContext, notq: _Plan) -> _Filter:
-    """Filter form of a negated quantifier: per-row witness-count test."""
+    """Filter form of a negated quantifier: per-row witness-count test on
+    the groups of its body's relation, which eval_rel may share (_share)."""
     q = notq.kids[0].node
     m = ctx.m
-
-    def group():
-        return _group_drop(ctx, eval_rel(ctx, notq.kids[0].kids[0]), q.var)
-
-    if notq.share is None:
-        V0, groups, counts = group()
-    else:
-        (V0, groups, counts), to = _memo(ctx, notq, "count", group)
-        if to is not None:
-            # the groups keep the column order they were sorted in, under
-            # this node's names, so their keys stay sorted
-            V0 = tuple(to[c] for c in V0)
+    V0, groups, counts = _group_drop(ctx, eval_rel(ctx, notq.kids[0].kids[0]), q.var)
 
     def fn(cols: dict) -> np.ndarray:
         n = len(next(iter(cols.values())))
@@ -943,8 +936,8 @@ def _tag(p: _Plan) -> str:
     """The strategy of a plan node, from its shape alone.  Where m still
     decides it, for two-variable equations and for E, one kernel decides at
     each modulus (_pair_rel, _exists_rel), and the tags tell apart what has
-    a block kernel.  So does arity: "scan" and "complement" are over at
-    most one variable, and "mod count" is E[r,q] with r != 0 or over one."""
+    a block kernel.  So does arity: "complement" is over at most one
+    variable, and "mod count" is E[r,q] with r != 0 or over one."""
     f = p.node
     k = len(p.fv)
     negate = isinstance(f, Not)
@@ -960,7 +953,7 @@ def _tag(p: _Plan) -> str:
         if isinstance(atom, IntTimes) and k >= 2 and not negate:
             if all(isinstance(s, (Var, Lit)) for s in (atom.x, atom.y, atom.z)):
                 return "times"
-        return "scan" if k == 1 else "grid scan"
+        return "grid scan"
     if negate:
         return "complement" if k <= 1 else "wide complement"
     if isinstance(f, (And, Or)):
@@ -1064,10 +1057,12 @@ def _share(plan: _Plan) -> None:
     """Give share = (the first node of its class, its free variables in the
     class's order) to each node with free variables, other than an atom or a
     negated atom, whose class of alpha-equivalent subformulas has two nodes
-    or more evaluated for one kind of _memo entry: not below a hit, which
-    all nodes of a shared class and kind but one are.  Classes are interned
-    from those of their operands and where their free variables go, so the
-    walk is linear in the formula, and outer classes get higher numbers."""
+    or more that eval_rel evaluates: not below a hit, which all nodes of a
+    shared class but one are.  A count filter evaluates its quantifier's
+    body, so the walk goes from the filter to that body.  Classes are
+    interned from those of their operands and where their free variables
+    go, so the walk is linear in the formula, and outer classes get higher
+    numbers."""
     classes: dict[tuple, int] = {}
     known: dict[int, tuple[int, tuple[str, ...]]] = {}
 
@@ -1091,21 +1086,20 @@ def _share(plan: _Plan) -> None:
             known[id(g)] = classes.setdefault(tuple(shape), len(classes)), tuple(names)
         return known[id(g)]
 
-    # (class, kind) -> (node, names, the flag of the nearest interned node
-    # above, its own flag) of each, a flag set where nothing below is evaluated
-    members: dict[tuple, list] = {}
-    stack: list = [(plan, [False], "relation")]
+    # class -> (node, names, the flag of the nearest interned node above,
+    # its own flag) of each, a flag set where nothing below is evaluated
+    members: dict[int, list] = {}
+    stack: list = [(plan, [False])]
     while stack:
-        p, up, kind = stack.pop()
+        p, up = stack.pop()
         atom = p.node.body if isinstance(p.node, Not) else p.node
         if p.fv and not isinstance(atom, _ATOMS):
             cls, names = run(canon, p.node)
             up, above = [False], up  # below p, p's flag is the one above
-            members.setdefault((cls, kind), []).append((p, names, above, up))
+            members.setdefault(cls, []).append((p, names, above, up))
         counts = [c for step, c in p.steps if step == "count"]
-        # a count filter evaluates its quantifier's body, not the quantifier
-        for k in p.kids[0].kids if kind == "count" else p.kids:
-            stack.append((k, up, "count" if k in counts else "relation"))
+        for k in p.kids:
+            stack.append((k.kids[0].kids[0] if k in counts else k, up))
     for _, nodes in sorted(members.items(), reverse=True):  # outer classes first
         evaluated = [flag for *_, up, flag in nodes if not up[0]]
         for p, names, up, flag in nodes:
@@ -1342,7 +1336,6 @@ _KERNELS: dict[str, Callable[[RingContext, _Plan], Relation]] = {
     "univariate": _univar_rel,
     "linear const": _pair_rel,
     "pair": _pair_rel,
-    "scan": _grid_rel,
     "grid scan": _grid_rel,
     "times": _times_rel,
     "and": lambda ctx, p: _eval_and(ctx, p.steps, p.node, p.fv),
@@ -1359,29 +1352,22 @@ _KERNELS: dict[str, Callable[[RingContext, _Plan], Relation]] = {
 }
 
 
-def _memo(ctx: RingContext, p: _Plan, kind: str, compute: Callable):
-    """compute(), once per context for each kind and class of shared nodes
-    (_share), with the map from the names of the node it was computed for
-    to p's own, or None for p's own.  A hit charges nothing: the first
-    computation charged the budget."""
-    first, names = p.share
-    hit = ctx.shared.get((kind, first))
-    if hit is None:
-        value = compute()
-        ctx.shared[kind, first] = names, value
-        return value, None
-    was, value = hit
-    return value, None if was == names else dict(zip(was, names))
-
-
 def eval_rel(ctx: RingContext, p: _Plan) -> Relation:
     """Evaluate a plan to its satisfying-assignment relation, once per
-    context for each class of shared nodes."""
+    context for each class of shared nodes (_share): a later node of the
+    class takes the relation of the first with its columns renamed.  A hit
+    charges nothing: the first computation charged the budget."""
     if p.share is None:
         return _KERNELS[p.tag](ctx, p)
-    rel, to = _memo(ctx, p, "relation", lambda: _KERNELS[p.tag](ctx, p))
-    if to is None:
+    first, names = p.share
+    if first not in ctx.shared:
+        rel = _KERNELS[p.tag](ctx, p)
+        ctx.shared[first] = names, rel
         return rel
+    was, rel = ctx.shared[first]
+    if was == names:
+        return rel
+    to = dict(zip(was, names))
     cols = [to[c] for c in rel.cols]
     if cols == sorted(cols):
         return Relation(tuple(cols), rel.data)

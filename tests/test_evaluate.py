@@ -1141,6 +1141,14 @@ def test_gcd_with_matches_numpy_gcd():
         assert np.array_equal(got, np.gcd(values, m)), m
 
 
+def test_divisors_match_a_brute_force_list():
+    # perfect squares, whose root must appear once, among them
+    squares = [q * q for q in (1, 2, 3, 12, 243, 1000)]
+    for m in list(range(1, 400)) + squares + [59048, 10**6 - 1, 999_983]:
+        got = fastengine._divisors(m)
+        assert got.tolist() == [d for d in range(1, m + 1) if m % d == 0], m
+
+
 def test_inverse_matches_pow():
     units = [(a, n) for n in range(1, 61) for a in range(n) if math.gcd(a, n) == 1]
     cases = [tuple(np.array(units).T)]
@@ -1345,83 +1353,75 @@ def _plan_nodes(plan):
     return nodes
 
 
-def _recording_memo(monkeypatch):
-    """Wrap fastengine._memo; returns the (kind, names) of every hit, the
-    names a cached relation's columns or count filter's groups take."""
+def _recording_hits(monkeypatch):
+    """Wrap fastengine.eval_rel; returns, for every hit of the shared cache,
+    whether a count filter read it and the names the cached relation's
+    columns take, in their cached order."""
     hits = []
-    real = fastengine._memo
+    real = fastengine.eval_rel
 
-    def memo(ctx, p, kind, compute):
-        value, to = real(ctx, p, kind, compute)
-        if to is not None:
-            cols = value.cols if kind == "relation" else value[0]
-            hits.append((kind, [to[c] for c in cols]))
-        return value, to
+    def eval_rel(ctx, p):
+        if p.share is not None and p.share[0] in ctx.shared:
+            was, rel = ctx.shared[p.share[0]]
+            to = dict(zip(was, p.share[1]))
+            counted = sys._getframe(1).f_code.co_name == "_count_filter"
+            hits.append((counted, [to[c] for c in rel.cols]))
+        return real(ctx, p)
 
-    monkeypatch.setattr(fastengine, "_memo", memo)
+    monkeypatch.setattr(fastengine, "eval_rel", eval_rel)
     return hits
 
 
 def test_psi_evaluates_each_shared_class_once_per_modulus(monkeypatch):
     # "V is a power of 3" four times, "the square of a power of 3" twice.
-    # Of the 28 nodes whose class occurs twice, 9 are shared: the two
-    # squares, the three powers that are count filters (one inside each
-    # square), and the four bodies of the powers.  The power that is a
-    # relation is alone of its kind, and the rest lie inside the square
-    # that is a hit, or are the quantifiers of count filters
+    # 6 nodes are shared: the two squares and the four bodies of the powers.
+    # Three powers are count filters, which evaluate only their bodies, and
+    # the fourth is a relation, alone of its class.  One body lies inside
+    # the square that is a hit, so each modulus computes two classes and
+    # reads them three times
     s = psi_sentence(3)
     nodes = _plan_nodes(fastengine._plan(s))
-    assert sum(p.share is not None for p in nodes) == 9
+    assert sum(p.share is not None for p in nodes) == 6
     fields = {f.name for f in dataclasses.fields(fastengine._Plan)}
-    # (context, kind, node, entries cached) of each kernel call and count
-    # grouping
+    # (context, node, entries cached) of each kernel call
     calls = []
 
     def kernel_of(kernel):
         def wrapper(ctx, p):
-            calls.append((ctx, "relation", p, len(ctx.shared)))
+            calls.append((ctx, p, len(ctx.shared)))
             return kernel(ctx, p)
 
         return wrapper
 
     for tag, kernel in fastengine._KERNELS.items():
         monkeypatch.setitem(fastengine._KERNELS, tag, kernel_of(kernel))
-    real_group_drop = fastengine._group_drop
+    read = []  # the class of every cache hit, and who read it
+    real_eval_rel = fastengine.eval_rel
 
-    def group_drop(ctx, rel, v):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "group":  # the count filter's groups
-            calls.append((ctx, "count", caller.f_locals["notq"], len(ctx.shared)))
-        return real_group_drop(ctx, rel, v)
+    def eval_rel(ctx, p):
+        if p.share is not None and p.share[0] in ctx.shared:
+            read.append((p.share[0], sys._getframe(1).f_code.co_name))
+        return real_eval_rel(ctx, p)
 
-    monkeypatch.setattr(fastengine, "_group_drop", group_drop)
-    read = set()  # the (kind, class) of every cache hit
-    real_memo = fastengine._memo
-
-    def memo(ctx, p, kind, compute):
-        if (kind, p.share[0]) in ctx.shared:
-            read.add((kind, p.share[0]))
-        return real_memo(ctx, p, kind, compute)
-
-    monkeypatch.setattr(fastengine, "_memo", memo)
+    monkeypatch.setattr(fastengine, "eval_rel", eval_rel)
     runs = []
     # 9^2 < 101 < 3 * 9^2, 3^5 < 257 < 9^3, and 6229 is in the benchmark
     for m in (101, 101, 257, 6229):
         calls.clear()
         read.clear()
         assert eval_sentence(s, m) is (m == 101)
-        contexts = {id(ctx) for ctx, _, _, _ in calls}
-        assert len(contexts) == 1 and calls[0][3] == 0  # it starts empty
-        # every entry cached is read
-        assert set(calls[0][0].shared) == read and len(read) == 3
+        contexts = {id(ctx) for ctx, _, _ in calls}
+        assert len(contexts) == 1 and calls[0][2] == 0  # it starts empty
+        # every entry cached is read: a body by a count filter and by the
+        # power that is a relation, a square by a conjunction
+        assert len(read) == 3 and set(calls[0][0].shared) == {first for first, _ in read}
+        assert {reader for _, reader in read} == {"_count_filter", "_exists_rel", "_eval_and"}
         per_class = {}
-        for ctx, kind, p, _ in calls:
+        for ctx, p, _ in calls:
             if p.share is not None:
-                key = (kind, id(p.share[0]))
-                per_class[key] = per_class.get(key, 0) + 1
-        assert per_class and set(per_class.values()) == {1}
-        assert {kind for kind, _ in per_class} == {"relation", "count"}
-        runs.append((contexts, [(kind, p) for _, kind, p, _ in calls]))
+                per_class[id(p.share[0])] = per_class.get(id(p.share[0]), 0) + 1
+        assert len(per_class) == 2 and set(per_class.values()) == {1}
+        runs.append((contexts, [p for _, p, _ in calls]))
         # the cache lives on the context only
         assert all(set(vars(p)) <= fields for p in nodes)
     # a second evaluation at the same modulus computes it all again
@@ -1429,10 +1429,11 @@ def test_psi_evaluates_each_shared_class_once_per_modulus(monkeypatch):
 
 
 def test_renamed_relations_and_count_groups_reverse_their_columns(monkeypatch):
-    # P(a, b) and C(a, b) are shared with P(d, c) and C(d, c): renamed from
-    # the first to the second, (a, b) becomes (d, c), out of name order
+    # P(a, b) and the body of C(a, b) are shared with those of P(d, c) and
+    # C(d, c): renamed from the first to the second, (a, b) becomes (d, c),
+    # out of name order, and C's count filter takes its body so renamed
     P = "(E w. (({u} = (w * w)) & (w < {v})))"
-    C = "!(E w. ((w * w) = ({u} + (2 * {v}))))"
+    C = "!(E w. (((w * w) = ({u} + (2 * {v}))) & (w < {v})))"
 
     def twins(conjunct):
         return (
@@ -1447,7 +1448,7 @@ def test_renamed_relations_and_count_groups_reverse_their_columns(monkeypatch):
     s = parse_sentence(twins(f"{P} & {C}"))
     block = parse_sentence(twins(P))
     assert blockengine.covers(fastengine._plan(block))
-    hits = _recording_memo(monkeypatch)
+    hits = _recording_hits(monkeypatch)
     lookups = set()  # (names, branch) of the count filters' lookups
     real_lookup = fastengine._lookup
 
@@ -1475,20 +1476,21 @@ def test_renamed_relations_and_count_groups_reverse_their_columns(monkeypatch):
             assert rel.cols == ("a", "b", "c", "d")
             want = naive_rows(RingContext(m), f, rel.cols, m**4)
             assert rel.rows.tolist() == [list(row) for row in want]
-    for kind in ("relation", "count"):
-        assert any(k == kind and names != sorted(names) for k, names in hits)
-    assert {(("d", "c"), "dense"), (("d", "c"), "sort")} <= lookups
+    for counted in (False, True):
+        assert any(c == counted and names != sorted(names) for c, names in hits)
+    assert {(("c", "d"), "dense"), (("c", "d"), "sort")} <= lookups
 
 
 def test_engines_agree_where_twins_share_their_relations(monkeypatch):
     # claim 12's corpus has no twin subformulas, and so never reaches the
-    # shared path; this corpus reaches it on both kinds, reversed too
+    # shared path; this corpus reaches it from count filters and from other
+    # nodes, reversed too
     rng = random.Random(verify.ENGINE_FUZZ_SEED)
     claim_12 = [random_sentence(rng, max_depth=5) for _ in range(500)]
     assert not any(p.share for s in claim_12 for p in _plan_nodes(fastengine._plan(s)))
-    hits = _recording_memo(monkeypatch)
+    hits = _recording_hits(monkeypatch)
     for s in _shared_corpus(120):
         for m in range(1, 31):
             eval_sentence(s, m, engine="both")
-    for kind in ("relation", "count"):
-        assert any(k == kind and names != sorted(names) for k, names in hits)
+    for counted in (False, True):
+        assert any(c == counted and names != sorted(names) for c, names in hits)

@@ -360,7 +360,7 @@ def test_every_tag_has_a_kernel_and_the_block_path_keeps_its_sentences():
     assert tags <= set(fastengine._KERNELS)
     assert set(blockengine._KERNELS) <= set(fastengine._KERNELS)
     covered = [_covered(s) for s in corpus]
-    assert sum(covered[:100]) == 54 and sum(covered) == 247
+    assert sum(covered[:100]) == 44 and sum(covered) == 189
     assert [name for name, s in FAMILY_SENTENCES.items() if _covered(s)] == [
         "congruence", "cyclotomic", "modcount", "powres", "prime"
     ]
@@ -405,8 +405,7 @@ def test_block_path_matches_prime_by_prime(monkeypatch):
         f"{type(conj.node).__name__} filter"]
         if isinstance(getattr(moduli, "__self__", None), blockengine._Block) else [])
     watch("_join", lambda caller, out, *args: ["join"] if caller == "_block_joins" else [])
-    watch("_block_extend", lambda caller, out, *args: {
-        "_block_and": ["extend"], "_block_or": ["or extend"]}.get(caller, []))
+    watch("_block_extend", lambda caller, out, *args: ["extend"] if caller == "_block_and" else [])
     watch("_group_drop", lambda caller, out, *args: (
         ["mod group"] if caller == "_block_mod_exists" else []))
     watch("eval_rel", lambda caller, out, *args: ["prime by prime"] if caller == "_eval_chunk" else [],
@@ -416,8 +415,6 @@ def test_block_path_matches_prime_by_prime(monkeypatch):
         "E x. E y. (((x * 2) = 1) & (y < x))",
         # a = (3 - b^2) / 2, and where p = 2, every a at each root of b^2 = 3
         "E a. E b. ((((2 * a) + (b * b)) = 3) & (b = 5) & (a < 4))",
-        # the disjunct over x is extended by y
-        "E x. E y. (((x * x) = 2) | ((y * y) = 3))",
         # E[1,3] x. groups its body's rows by the lane and y
         "E y. E[1,3] x. ((((x * x) * x) = y) & (0 < y) & (y < 3))",
         # a(u) = 7u vanishes in the lane of 7, the one prime where it fails
@@ -433,7 +430,7 @@ def test_block_path_matches_prime_by_prime(monkeypatch):
     assert fired >= set(blockengine._KERNELS) | {
         "all", "none", "linear", "horner", "lane complement", "ragged complement",
         "Less filter", "Not filter", "join", "extend", "prime by prime",
-        "or extend", "mod group", "a vanishes",
+        "mod group", "a vanishes",
     }
 
 
@@ -453,13 +450,24 @@ def test_block_budget_error_names_the_prime_as_prime_by_prime(budget):
             assert _spectrum_outcome(t, 600, budget) == want, formula_to_text(t)
 
 
-def test_a_tag_without_a_block_kernel_keeps_its_sentence_prime_by_prime(monkeypatch):
-    # a negated two-variable equation is a grid scan, which has no block
-    # kernel, so its sentence never reaches eval_block; the scan costs p^2 a
-    # prime, so the sweep stops at 600, whose 109 primes would make one block
-    s = parse_sentence("E x. E y. !((x + (2 * y)) = 1)")
-    atom = fastengine._plan(s).kids[0].kids[0]
-    assert atom.tag == "grid scan" and atom.tag not in blockengine._KERNELS
+@pytest.mark.parametrize("text, path, tag", [
+    # a negated two-variable equation is a grid scan; it costs p^2 a prime,
+    # so the sweep stops at 600, whose 109 primes would make one block
+    ("E x. E y. !((x + (2 * y)) = 1)", (0, 0), "grid scan"),
+    ("E x. E y. (((x * x) = 2) | ((y * y) = 3))", (0, 0), "or"),
+    # a comparison over one variable is a grid scan too
+    ("E x. (x < 3)", (0,), "grid scan"),
+], ids=["negated pair", "or", "comparison"])
+def test_a_tag_without_a_block_kernel_keeps_its_sentence_prime_by_prime(
+    monkeypatch, text, path, tag
+):
+    # the node at path has no block kernel, so the sentence never reaches
+    # eval_block
+    s = parse_sentence(text)
+    node = fastengine._plan(s)
+    for i in path:
+        node = node.kids[i]
+    assert node.tag == tag and tag not in blockengine._KERNELS
     assert not _covered(s)
     passes = []
     monkeypatch.setattr(blockengine, "eval_block", lambda *args: passes.append(args))
