@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 
+from .arith import MAX_SIEVE_BOUND
 from .constructions import FAMILIES
 from .density import density_function, density_profile, sequence_from_spec
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .evaluate import DEFAULT_TUPLE_BUDGET, RingContext, eval_sentence, naive_rows
 from .logic import formula_to_text, free_vars, parse_formula
-from .spectra import Spectrum, fit_congruences, from_members, spectrum
+from .spectra import Spectrum, fit_congruences, from_members, prime_table, spectrum
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -105,7 +106,11 @@ def _load_spectrum(path: str) -> Spectrum:
             members.append(p)
     if bound < 2:
         raise ParseError("spectrum file lists no primes")
-    return from_members(members, bound)
+    # the rows list every prime up to the bound, so it lies below the next
+    # prime after the last row (one exists below twice that row)
+    table = prime_table(min(2 * bound, MAX_SIEVE_BOUND))
+    above = table.primes[table.primes > bound]
+    return from_members(members, int(above[0]) - 1 if above.size else MAX_SIEVE_BOUND)
 
 
 def _cmd_parse(args) -> int:

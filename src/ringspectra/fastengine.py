@@ -11,6 +11,12 @@ variables.  A relation is its columns: one int64 array of shape
 extensions and selections gather along its second axis.  Conjunction joins
 relations and folds comparison atoms in as vectorized filters; quantifiers
 aggregate per-group witness counts, and C>=(t) adds the rows where t = 0.
+One function gives every witness count (_witnesses), to a quantifier that
+is evaluated and to a negated one that a count filter tests row by row:
+over a body (v < u) or (u < v) AND conjuncts over v alone, as in "z is
+maximal with property phi", it counts at every u by u's rank among the
+witnesses, from prefix sums of their histogram, m rows; over any other
+body it groups its relation.
 Atoms are solved analytically where possible: a linear congruence, with a
 constant or a per-row coefficient, for all its rows at once, and a TIMES
 atom over two or three names as the run of y that each x takes, which its
@@ -776,11 +782,12 @@ def _atom_filter(conj: _Plan, moduli: Callable[[dict], int | np.ndarray]) -> _Fi
 
 
 def _count_filter(ctx: RingContext, notq: _Plan) -> _Filter:
-    """Filter form of a negated quantifier: per-row witness-count test on
-    the groups of its body's relation, which eval_rel may share (_share)."""
+    """Filter form of a negated quantifier: per-row test of the witness
+    counts that _witnesses gives at each group, by rank at every u for a
+    rank shape and else from its body's relation."""
     q = notq.kids[0].node
     m = ctx.m
-    V0, groups, counts = _group_drop(ctx, eval_rel(ctx, notq.kids[0].kids[0]), q.var)
+    V0, groups, counts = _witnesses(ctx, notq.kids[0])
 
     def fn(cols: dict) -> np.ndarray:
         n = len(next(iter(cols.values())))
@@ -789,7 +796,7 @@ def _count_filter(ctx: RingContext, notq: _Plan) -> _Filter:
         elif not counts.size:
             cnt = np.zeros(n, dtype=np.int64)
         else:
-            # _group_drop sorts the groups, so their keys come sorted too
+            # _witnesses gives the groups sorted, so their keys come sorted too
             (gkeys, keys), _, domain = _keys(m, groups, [cols[c] for c in V0])
             cnt = _lookup(gkeys, counts, keys, domain)
         return ~_holds(q, cnt, m, cols)
@@ -847,7 +854,8 @@ class _Plan:
     kids: tuple[_Plan, ...] = ()
     poly: dict | None = None
     # decided here, once per sentence: how _eval_and takes the conjuncts of
-    # an And (_steps); the shape _rank_rel counts a quantifier by, or None;
+    # an And (_steps); the rank shape _witnesses counts a quantifier by, or
+    # None, whether the quantifier is evaluated or tested by a count filter;
     # and the strategy (_tag), the key of its kernel in each engine's table
     steps: tuple = ()
     rank: tuple | None = None
@@ -901,35 +909,22 @@ def _steps(conjuncts: Sequence[_Plan]) -> tuple:
 
 def _rank_shape(p: _Plan) -> tuple | None:
     """For a quantifier over v whose body is (v <cmp> u) AND conjuncts over
-    v alone: (the comparison, u, the _steps of the other conjuncts), which
-    _rank_rel counts by; else None."""
-    node = p.node
-    v = node.var
+    v alone, and whose count term, for C>=, is over u alone: (the
+    comparison, u, the _steps of the other conjuncts), by which _witnesses
+    counts at every u, for a count filter too; else None."""
+    v = p.node.var
     body = p.kids[0]
     flat = body.kids if isinstance(body.node, And) else (body,)
-    cmp_atom = None
-    others: list[_Plan] = []
-    for c in flat:
-        f = c.node
-        if (
-            cmp_atom is None
-            and isinstance(f, Less)
-            and isinstance(f.left, Var)
-            and isinstance(f.right, Var)
-            and f.left.name != f.right.name
-            and v in (f.left.name, f.right.name)
-        ):
-            cmp_atom = f
-            continue
-        others.append(c)
-    if cmp_atom is None:
+    wide = [c for c in flat if not set(c.fv) <= {v}]
+    if len(wide) != 1 or v not in wide[0].fv or not isinstance(wide[0].node, Less):
         return None
-    u = cmp_atom.right.name if cmp_atom.left.name == v else cmp_atom.left.name
-    if any(not set(c.fv) <= {v} for c in others):
+    cmp_atom = wide[0].node
+    if not (isinstance(cmp_atom.left, Var) and isinstance(cmp_atom.right, Var)):
         return None
-    if isinstance(node, CountGE) and not set(p.kids[1].fv) <= {u}:
+    (u,) = set(wide[0].fv) - {v}
+    if isinstance(p.node, CountGE) and not set(p.kids[1].fv) <= {u}:
         return None
-    return cmp_atom, u, _steps(others)
+    return cmp_atom, u, _steps([c for c in flat if c is not wide[0]])
 
 
 def _tag(p: _Plan) -> str:
@@ -1059,7 +1054,8 @@ def _share(plan: _Plan) -> None:
     negated atom, whose class of alpha-equivalent subformulas has two nodes
     or more that eval_rel evaluates: not below a hit, which all nodes of a
     shared class but one are.  A count filter evaluates its quantifier's
-    body, so the walk goes from the filter to that body.  Classes are
+    body, so the walk goes from the filter to that body; _witnesses
+    evaluates only the conjuncts of a rank shape's body.  Classes are
     interned from those of their operands and where their free variables
     go, so the walk is linear in the formula, and outer classes get higher
     numbers."""
@@ -1089,17 +1085,18 @@ def _share(plan: _Plan) -> None:
     # class -> (node, names, the flag of the nearest interned node above,
     # its own flag) of each, a flag set where nothing below is evaluated
     members: dict[int, list] = {}
-    stack: list = [(plan, [False])]
+    stack: list = [(plan, [False], True)]
     while stack:
-        p, up = stack.pop()
+        p, up, own = stack.pop()
         atom = p.node.body if isinstance(p.node, Not) else p.node
-        if p.fv and not isinstance(atom, _ATOMS):
+        if own and p.fv and not isinstance(atom, _ATOMS):
             cls, names = run(canon, p.node)
             up, above = [False], up  # below p, p's flag is the one above
             members.setdefault(cls, []).append((p, names, above, up))
         counts = [c for step, c in p.steps if step == "count"]
         for k in p.kids:
-            stack.append((k.kids[0].kids[0] if k in counts else k, up))
+            q, k = (k.kids[0], k.kids[0].kids[0]) if k in counts else (p, k)
+            stack.append((k, up, q.rank is None))
     for _, nodes in sorted(members.items(), reverse=True):  # outer classes first
         evaluated = [flag for *_, up, flag in nodes if not up[0]]
         for p, names, up, flag in nodes:
@@ -1206,23 +1203,21 @@ def _eval_or(ctx: RingContext, p: _Plan) -> Relation:
 # quantifiers
 
 
-def _rank_rel(ctx: RingContext, p: _Plan) -> Relation:
-    """Bodies of shape (v <cmp> u) AND unary-in-v constraints: per-u witness
-    counts come from the rank of u in the sorted unary witness set."""
-    cmp_atom, u, steps = p.rank
-    node = p.node
-    v = node.var
-    m = ctx.m
-    sub = _eval_and(ctx, steps, node, target=(v,))
-    witnesses = np.sort(sub.data[0])
-    v_below = cmp_atom.left.name == v
-    _charge(ctx, m, node)
-    grid = np.arange(m, dtype=np.int64)
-    if v_below:
-        cnt = np.searchsorted(witnesses, grid, side="left")
-    else:
-        cnt = witnesses.size - np.searchsorted(witnesses, grid, side="right")
-    return Relation((u,), grid[_holds(node, cnt, m, {u: grid})].reshape(1, -1))
+def _witnesses(ctx: RingContext, q: _Plan):
+    """The witness count of quantifier q at each group of its other free
+    variables, as (V0, groups, counts) like _group_drop.  A rank shape
+    (_rank_shape) counts at every u, by u's rank among the witnesses of its
+    other conjuncts, charging m; any other body groups its relation, which
+    eval_rel may share (_share)."""
+    v = q.node.var
+    if q.rank is None:
+        return _group_drop(ctx, eval_rel(ctx, q.kids[0]), v)
+    cmp_atom, u, steps = q.rank
+    hist = np.bincount(_eval_and(ctx, steps, q.node, target=(v,)).data[0], minlength=ctx.m)
+    _charge(ctx, ctx.m, q.node)
+    below = np.cumsum(hist) - hist  # u's rank: the witnesses below u
+    cnt = below if cmp_atom.left.name == v else hist.sum() - hist - below
+    return (u,), np.arange(ctx.m, dtype=np.int64).reshape(1, -1), cnt
 
 
 def _linear_body(p: _Plan, m: int | None = None):
@@ -1265,13 +1260,14 @@ def _exists_rel(ctx: RingContext, p: _Plan) -> Relation:
 
 
 def _count_rel(ctx: RingContext, p: _Plan) -> Relation:
-    """E[r,q] v., M v., and C>=(t) v. for a constant t: the groups of the
-    body whose witness counts hold (_holds), or, where a count of 0 holds
-    too, the complement of the groups whose counts fail."""
+    """E[r,q] v., M v., C>=(t) v. for a constant t, and every rank shape:
+    the groups (_witnesses) whose witness counts hold (_holds), or, where
+    the groups miss some assignment and a count of 0 holds, the complement
+    of the groups whose counts fail.  A rank shape's groups are every u."""
     node = p.node
-    V0, groups, counts = _group_drop(ctx, eval_rel(ctx, p.kids[0]), node.var)
-    hit = _holds(node, counts, ctx.m, {})
-    if _holds(node, 0, ctx.m, {}):
+    V0, groups, counts = _witnesses(ctx, p)
+    hit = _holds(node, counts, ctx.m, dict(zip(V0, groups)))
+    if groups.shape[1] < ctx.m ** len(V0) and _holds(node, 0, ctx.m, {}):
         return _complement(ctx, Relation(V0, np.compress(~hit, groups, axis=1)), node)
     return Relation(V0, np.compress(hit, groups, axis=1))
 
@@ -1289,7 +1285,7 @@ def _count_ge_rel(ctx: RingContext, p: _Plan) -> Relation:
         return _count_rel(ctx, p)
     node = p.node
     m = ctx.m
-    V0, groups, counts = _group_drop(ctx, eval_rel(ctx, p.kids[0]), node.var)
+    V0, groups, counts = _witnesses(ctx, p)
     t = node.count
     # the kernel of t = 0, given p so that its errors name p (_atom_of)
     zero = _extend_to(ctx, _KERNELS[p.kids[1].tag](ctx, p), p.fv, node)
@@ -1342,7 +1338,7 @@ _KERNELS: dict[str, Callable[[RingContext, _Plan], Relation]] = {
     "or": _eval_or,
     "complement": _not_rel,
     "wide complement": _not_rel,
-    "rank": _rank_rel,
+    "rank": _count_rel,
     "linear exists": _exists_rel,
     "projection": _exists_rel,
     "mod count": _count_rel,

@@ -126,8 +126,8 @@ def test_classify_reads_csv_identically(tmp_path, capsys):
         "--out", "json", "--output", json_path)
     code, from_json, _ = run(capsys, "classify", "--spectrum", json_path, "--max-d", "8")
     assert code == 0
-    # the CSV carries no explicit bound (it is recovered from the last
-    # prime row), so only the fitted classes are required to agree
+    # the CSV carries no explicit bound (it is the largest its prime rows
+    # allow, 1008 here), so only the fitted classes are required to agree
     assert json.loads(from_csv)["fits"] == json.loads(from_json)["fits"]
 
 
@@ -149,6 +149,18 @@ def test_density_profile_csv(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "n,pi_S,pi,ratio" and len(lines) == 4
     assert lines[1].startswith("10,4,4,") and lines[3].startswith("1000,168,168,")
+    # a CSV's bound is the largest its rows allow, 1008 below the prime
+    # 1009, so the bound of the sweep is a sample, from CSV as from JSON
+    paths = [str(tmp_path / "sp.csv"), str(tmp_path / "sp.json")]
+    for out_path, kind in zip(paths, ("csv", "json")):
+        run(capsys, "spectrum", "--formula", path, "--bound", "1000",
+            "--out", kind, "--output", out_path)
+    for schedule in (["--samples", "100,1000"], ["--seq", "geometric:10:4"]):
+        csv_run, json_run = (
+            run(capsys, "density", "--spectrum", p, "--h", "log", *schedule) for p in paths
+        )
+        assert csv_run == json_run and csv_run[0] == 0
+        assert csv_run[1].splitlines()[-1].startswith("1000,168,168,")
 
 
 def test_density_requires_schedule(tmp_path, capsys):

@@ -618,6 +618,22 @@ def test_fast_path_agrees_with_the_reference(monkeypatch, strategy, text, patter
          CountGE, False),
         # the count filter's majority test
         ("_count_filter", "E x. (((x * x) = 2) & !(M y. (y < x)))", Majority, None),
+        # the rank shapes as count filters, tested row by row
+        ("_witnesses", "E u. (((u * u) = 2) & !(E v. ((v < u) & ((v * v) = 2))))", Exists, True),
+        ("_witnesses", "E u. (((u * u) = 4) & (u < 3) & !(E v. ((u < v) & ((v * v) = 4))))",
+         Exists, False),
+        ("_witnesses", "E u. (((u * u) = 1) & !(E[1,2] v. ((v < u) & (E y. ((y * y) = v)))))",
+         ModExists, True),
+        ("_witnesses", "E u. (((u * u) = 1) & !(E[0,2] v. ((u < v) & (E y. ((y * y) = v)))))",
+         ModExists, False),
+        ("_witnesses", "E u. (((u * u) = 2) & !(M v. ((v < u) & (E y. ((y * y) = v)))))",
+         Majority, True),
+        ("_witnesses", "E u. (((u * u) = 2) & (u < 6) & !(M v. (u < v)))", Majority, False),
+        ("_witnesses", "E u. (((u * u) = 4) & !(C>=(u) v. ((v < u) & (E y. ((y * y) = v)))))",
+         CountGE, True),
+        ("_witnesses",
+         "E u. (((u * u) = 1) & !(C>=(u + 1) v. ((u < v) & (E y. ((y * y) = v)))))",
+         CountGE, False),
     ],
 )
 def test_kernel_branches_agree_with_the_reference(monkeypatch, strategy, text, cls, below):
@@ -625,8 +641,13 @@ def test_kernel_branches_agree_with_the_reference(monkeypatch, strategy, text, c
     calls = _counting(monkeypatch, fastengine, strategy)
     got = [eval_sentence(s, m, engine="both") for m in range(1, 31)]
     assert True in got and False in got
-    # the quantifier of each call, and for a rank count whether v is below u
+    # the quantifier of each call, and for a rank count whether v is below u;
+    # the witnesses asked for are those of a count filter's quantifier
     quants = [p.kids[0] if strategy == "_count_filter" else p for ctx, p in calls]
+    if strategy == "_witnesses":
+        plan_nodes = _plan_nodes(fastengine._plan(s))
+        filtered = {c.kids[0] for p in plan_nodes for kind, c in p.steps if kind == "count"}
+        quants = [q for q in quants if q in filtered and q.rank is not None]
     assert any(
         isinstance(q.node, cls) and (below is None or (q.rank[0].left.name == q.node.var) == below)
         for q in quants
@@ -1191,17 +1212,26 @@ def test_count_filter_keys_groups_of_any_width(monkeypatch, m):
 
 
 def test_rank_keeps_counting_below_u_under_budget(monkeypatch):
-    # counting the squares below each square u: without the rank the
-    # relation of pairs (u, v) needs about 5 * 10^7 rows at m = 10007
-    s = parse_sentence(
-        "E u. ((E[0,2] v. ((v < u) & (E y. ((y * y) = v)))) & (E y. ((y * y) = u)))"
-    )
-    assert eval_sentence(s, 10007) is True
-    # without the rank count, E[0,2] v. over one free variable is a mod count
-    assert fastengine._plan(s).kids[0].kids[0].tag == "rank"
-    monkeypatch.setitem(fastengine._KERNELS, "rank", fastengine._KERNELS["mod count"])
-    with pytest.raises(ResourceLimitError):
-        eval_sentence(s, 10007)
+    # counting the squares below each square u, and asking of a square that
+    # no square lies above it ("largest square") or below it, which a count
+    # filter tests: without the rank count the relation of pairs (u, v)
+    # needs about 5 * 10^7 rows at m = 10007
+    texts = [
+        "E u. ((E[0,2] v. ((v < u) & (E y. ((y * y) = v)))) & (E y. ((y * y) = u)))",
+        "E z. ((E x. ((x * x) = z)) & (A w. ((z < w) -> !(E x. ((x * x) = w)))))",
+        "E u. ((E y. ((y * y) = u)) & !(E v. ((v < u) & (E y. ((y * y) = v)))))",
+    ]
+    for text in texts:
+        assert eval_sentence(parse_sentence(text), 10007) is True
+    assert eval_sentence(parse_sentence(texts[1]), 1000003) is True
+    # compiled with the rank shape withheld, E[0,2] v. over one free
+    # variable is a mod count and the others group their bodies' pairs
+    monkeypatch.setattr(fastengine, "_rank_shape", lambda p: None)
+    for text in texts:
+        s = parse_sentence(text)
+        assert not any(p.rank for p in _plan_nodes(fastengine._plan(s)))
+        with pytest.raises(ResourceLimitError):
+            eval_sentence(s, 10007)
 
 
 def test_engine_disagreement_is_typed(monkeypatch):
@@ -1353,6 +1383,14 @@ def _plan_nodes(plan):
     return nodes
 
 
+def _reader(frame) -> str:
+    """The name of the function that called eval_rel from frame: for the
+    witnesses of a quantifier, the kernel or filter that asked for them."""
+    if frame.f_code.co_name == "_witnesses":
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
 def _recording_hits(monkeypatch):
     """Wrap fastengine.eval_rel; returns, for every hit of the shared cache,
     whether a count filter read it and the names the cached relation's
@@ -1364,7 +1402,7 @@ def _recording_hits(monkeypatch):
         if p.share is not None and p.share[0] in ctx.shared:
             was, rel = ctx.shared[p.share[0]]
             to = dict(zip(was, p.share[1]))
-            counted = sys._getframe(1).f_code.co_name == "_count_filter"
+            counted = _reader(sys._getframe(1)) == "_count_filter"
             hits.append((counted, [to[c] for c in rel.cols]))
         return real(ctx, p)
 
@@ -1400,7 +1438,7 @@ def test_psi_evaluates_each_shared_class_once_per_modulus(monkeypatch):
 
     def eval_rel(ctx, p):
         if p.share is not None and p.share[0] in ctx.shared:
-            read.append((p.share[0], sys._getframe(1).f_code.co_name))
+            read.append((p.share[0], _reader(sys._getframe(1))))
         return real_eval_rel(ctx, p)
 
     monkeypatch.setattr(fastengine, "eval_rel", eval_rel)
@@ -1426,6 +1464,21 @@ def test_psi_evaluates_each_shared_class_once_per_modulus(monkeypatch):
         assert all(set(vars(p)) <= fields for p in nodes)
     # a second evaluation at the same modulus computes it all again
     assert runs[0][0] != runs[1][0] and runs[0][1] == runs[1][1]
+
+
+def test_rank_count_filters_share_their_conjuncts_not_their_bodies(monkeypatch):
+    # twin count filters of rank shape evaluate the conjuncts of their
+    # bodies and never the bodies: only E y. ((y * y) = w) and its twin are
+    # marked, and the second reads the first's relation
+    s = parse_sentence(
+        "(E a. (((a * a) = 4) & !(M w. ((a < w) & (E y. ((y * y) = w))))))"
+        " & (E c. (((c * c) = 9) & !(M x. ((c < x) & (E y. ((y * y) = x))))))"
+    )
+    shared = [p for p in _plan_nodes(fastengine._plan(s)) if p.share]
+    assert [type(p.node) for p in shared] == [Exists, Exists]
+    hits = _recording_hits(monkeypatch)
+    assert eval_sentence(s, 101, engine="both") is True
+    assert len(hits) == 1
 
 
 def test_renamed_relations_and_count_groups_reverse_their_columns(monkeypatch):
