@@ -86,31 +86,46 @@ def _spectrum_json(s: Spectrum) -> str:
 
 
 def _load_spectrum(path: str) -> Spectrum:
+    """A spectrum file as `spectrum` writes it, JSON or CSV.  A JSON file
+    without an integer bound of at least 2 and a list of primes up to it,
+    or a CSV whose rows do not list every prime from 2 in order, raises
+    ParseError: from_members would read either as some other spectrum."""
     text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         payload = json.loads(text)
-        return from_members(payload["primes"], payload["bound"])
-    members = []
-    bound = 0
+        bound, members = payload.get("bound"), payload.get("primes")
+        if type(bound) is not int or bound < 2 or not isinstance(members, list):
+            raise ParseError('spectrum JSON needs an integer "bound" >= 2 and a list "primes"')
+        primes = set(prime_table(bound).primes.tolist())
+        stray = [p for p in members if type(p) is not int or p not in primes]
+        if stray:
+            raise ParseError(f"spectrum JSON lists {stray[0]!r}, not a prime <= its bound {bound}")
+        return from_members(members, bound)
     rows = stripped.splitlines()
     if not rows or rows[0].strip() != "prime,member":
         raise ParseError("spectrum CSV must start with a prime,member header")
+    primes, members = [], []
     for row in rows[1:]:
         if not row.strip():
             continue
         prime_text, _, member_text = row.partition(",")
-        p = int(prime_text)
-        bound = max(bound, p)
-        if int(member_text):
+        p, member = int(prime_text), int(member_text)
+        if member not in (0, 1):
+            raise ParseError(f"spectrum CSV marks {p} with {member}, not 0 or 1")
+        primes.append(p)
+        if member:
             members.append(p)
-    if bound < 2:
+    if not primes:
         raise ParseError("spectrum file lists no primes")
-    # the rows list every prime up to the bound, so it lies below the next
-    # prime after the last row (one exists below twice that row)
-    table = prime_table(min(2 * bound, MAX_SIEVE_BOUND))
-    above = table.primes[table.primes > bound]
-    return from_members(members, int(above[0]) - 1 if above.size else MAX_SIEVE_BOUND)
+    # every prime up to the last row, so the bound lies below the next prime
+    # (one exists below twice that row)
+    table = prime_table(min(2 * primes[-1], MAX_SIEVE_BOUND)).primes.tolist()
+    if primes != table[: len(primes)]:
+        i = next(i for i, p in enumerate(primes) if i >= len(table) or p != table[i])
+        raise ParseError(f"spectrum CSV must list the primes in order: row {i + 1} is {primes[i]}")
+    bound = table[len(primes)] - 1 if len(table) > len(primes) else MAX_SIEVE_BOUND
+    return from_members(members, bound)
 
 
 def _cmd_parse(args) -> int:

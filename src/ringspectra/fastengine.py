@@ -20,9 +20,10 @@ body it groups its relation.
 Atoms are solved analytically where possible: a linear congruence, with a
 constant or a per-row coefficient, for all its rows at once, and a TIMES
 atom over two or three names as the run of y that each x takes, which its
-literals and repeated names fix (_times_rel).  A one-variable equation of
-higher degree takes its roots from gcd(f, x^m - x) at a prime m above
-arith.ROOT_SCAN_LIMIT and from Horner evaluation over all residues
+literals and repeated names fix, under E v. with v in one slot writing
+its other names' rows alone, unprojected (_times_rel).  A one-variable
+equation of higher degree takes its roots from gcd(f, x^m - x) at a prime
+m above arith.ROOT_SCAN_LIMIT and from Horner evaluation over all residues
 elsewhere, and other atoms are solved by vectorized scans of their
 assignment grid, which _decode_keys enumerates.  Dedup, grouping, joins and
 the count filter compare assignments by one order-preserving int64 key
@@ -52,9 +53,9 @@ takes it renamed to its own variables; a count filter shares the body of
 its quantifier so.  A context serves one modulus (a sweep makes one per
 prime), so nothing cached outlives it, and unshared nodes pay one
 attribute test.
-_TIMES_TABLE, the last modulus's TIMES table, stays a module global and
-not an entry of that cache: the benchmark's large-m workload and the tests
-empty it by name before an evaluation.
+_TIMES_TABLE, the last modulus's TIMES table over three names, or its rows
+without y, stays a module global and not an entry of that cache: the
+benchmark's large-m workload and the tests empty it by name.
 
 Every materialization is charged against the context's tuple budget and
 raises ResourceLimitError naming the subformula when it would exceed it.
@@ -266,11 +267,13 @@ def _compress_columns(flags: np.ndarray, columns) -> np.ndarray:
 def _dedup(data, m: int) -> np.ndarray:
     """The unique assignments of (k, n) data, given as an array or as the
     list of its k columns, in lexicographic order.  Keys in order keep the
-    first row of each run, with no sort and no decode."""
+    first row of each run, with no sort, decode or, for one column, packing."""
     if len(data) == 0 or len(data[0]) <= 1:
         return np.asarray(data)[:, :1]
+    if len(data) == 1 and _in_order(data[0]):
+        return data[0][_run_starts(data[0])].reshape(1, -1)
     (key,), decode, domain = _keys(m, data)
-    if _in_order(key):
+    if len(data) > 1 and _in_order(key):  # one column was tested above
         return _compress_columns(_run_starts(key), data)
     return decode(_sorted_unique(key, domain=domain))
 
@@ -674,10 +677,10 @@ _TIMES_TABLE: dict = {"bound": 0, "rows": None}
 def _times_runs(ctx: RingContext, node: Formula, rows: list[int], xs, lo, hi) -> np.ndarray:
     """The pairs of TIMES(x, y, z) with x in xs, ascending, and y in [lo, hi)
     for each x, as a (len(rows), n) array in (x, y) order whose row i holds
-    slot rows[i] (0 x, 1 y, 2 z = x*y).  The three-name table gives lo = 0
-    and hi an array over xs, each x repeated hi times; any other atom gives
-    lo an array over xs and hi the end of the first x's run, each later x
-    taking the one y lo."""
+    slot rows[i] (0 x, 1 y, 2 z = x*y); a slot not in rows is never written.
+    The three-name table gives lo = 0 and hi an array over xs, each x
+    repeated hi times; any other atom gives lo an array over xs and hi the
+    end of the first x's run, each later x taking the one y lo."""
     table = isinstance(hi, np.ndarray)
     n = 0 if table else int(hi - lo[0])
     total = int(hi.sum()) if table else n + len(xs) - 1
@@ -686,8 +689,10 @@ def _times_runs(ctx: RingContext, node: Formula, rows: list[int], xs, lo, hi) ->
     row = dict(zip(rows, out))
     if table:
         row[0][:] = np.repeat(xs, hi)
-        np.subtract(np.arange(total), np.repeat(np.cumsum(hi) - hi, hi), out=row[1])
-        np.multiply(row[0], row[1], out=row[2])
+        y = row[1] if 1 in row else row[2]  # else z, multiplied in place
+        np.subtract(np.arange(total), np.repeat(np.cumsum(hi) - hi, hi), out=y)
+        if 2 in row:
+            np.multiply(row[0], y, out=row[2])
         return out
     parts = [(slice(0, n), xs[0], np.arange(lo[0], hi, dtype=np.int64))]
     if n < total:
@@ -701,11 +706,13 @@ def _times_runs(ctx: RingContext, node: Formula, rows: list[int], xs, lo, hi) ->
     return out
 
 
-def _times_rel(ctx: RingContext, p: _Plan) -> Relation:
+def _times_rel(ctx: RingContext, p: _Plan, drop: str = "") -> Relation:
     """TIMES over two or three names, from the runs of y that _times_runs
-    lists for each x.  As x*y = y*x, a literal factor, or the factor that z
-    repeats, goes in the x slot, and then a literal or a repeated name is
-    fixed by the choice of x and of its run alone:
+    lists for each x; given drop, a name in one slot, the relation of E drop.
+    over the atom, with only the other names' rows.  As x*y = y*x, a literal
+    factor, or the factor that z repeats, goes in the x slot, a dropped
+    factor in the y slot, and then a literal or a repeated name is fixed by
+    the choice of x and of its run alone:
 
         three names          x < m          y <= (m - 1)/max(x, 1)
         a literal factor q   x = q          y <= (m - 1)/max(q, 1)
@@ -713,29 +720,34 @@ def _times_rel(ctx: RingContext, p: _Plan) -> Relation:
         z = 0, or z = x      x < m          all y at x = 0, else y = 0 (y = 1)
         x = y                x*x < m        y = x
 
-    The three-name table is kept for the last modulus only, in the row
-    order of the atom that built it, and dropped before the next is built,
-    so whether m fits never depends on what ran before."""
+    So each kept row comes once, but that x = 0 gives z = 0 at every y:
+    dropping y, its run keeps one row.  The three-name table, or its rows
+    without y, is kept for the last modulus only, in the row order of the
+    atom that built it, and dropped before the next is built, so whether m
+    fits never depends on what ran before."""
     m = ctx.m
     node = p.node
-    swap = isinstance(node.y, Lit) or node.y == node.z
+    swap = isinstance(node.y, Lit) or node.y == node.z or node.x == Var(drop)
     x, y, z = (node.y, node.x, node.z) if swap else (node.x, node.y, node.z)
     names = [s.name if isinstance(s, Var) else "" for s in (x, y, z)]
-    cols = tuple(sorted(set(names) - {""}))
+    cols = tuple(sorted(set(names) - {"", drop}))
     rows = [names.index(c) for c in cols]
-    table = len(rows) == 3
-    if table and _TIMES_TABLE["bound"] == m:
+    table = len(set(names) - {""}) == 3
+    cached = table and names[2] != drop  # the table, with or without y
+    if cached and _TIMES_TABLE["bound"] == m and _TIMES_TABLE["rows"].shape[0] == len(rows):
         out = _TIMES_TABLE["rows"]
         _charge(ctx, out.shape[1], node)
         if m > 1:
-            # in (x, y) order, column m is (1, 0, 0) and column 1 is (0, 1, 0)
-            at_x, at_y = int(out[:, m].argmax()), int(out[:, 1].argmax())
-            at = [(at_x, at_y, 3 - at_x - at_y)[i] for i in rows]
-            if at != [0, 1, 2]:
+            # in (x, y) order, column 1 is (0, 1, 0) in the table, whose column
+            # m is (1, 0, 0), and (1, 0) without y; so the slot of each row is
+            marks = out[:, 1] + 2 * out[:, m] if len(rows) == 3 else 2 * out[:, 1]
+            at = [(2 - marks).tolist().index(i) for i in rows]
+            if at != sorted(at):
                 out = out[at]
         return Relation(cols, out)
-    if table:
+    if cached:
         _TIMES_TABLE.update(bound=0, rows=None)
+    if table:
         xs = np.arange(m, dtype=np.int64)
         lo, hi = 0, (m - 1) // xs.clip(1) + 1
     elif isinstance(x, Lit):
@@ -751,8 +763,10 @@ def _times_rel(ctx: RingContext, p: _Plan) -> Relation:
         xs = np.arange(m, dtype=np.int64)
         lo = np.full(m, int(isinstance(z, Var)), dtype=np.int64)
         lo[0], hi = 0, m
+    if names[1] == drop and xs[0] == 0:  # and so lo = 0 at x = 0
+        hi = np.r_[1, hi[1:]] if table else 1
     out = _times_runs(ctx, node, rows, xs, lo, hi)
-    if table:
+    if cached:
         out.flags.writeable = False
         _TIMES_TABLE.update(bound=m, rows=out)
     return Relation(cols, out)
@@ -1233,15 +1247,19 @@ def _linear_body(p: _Plan, m: int | None = None):
 
 def _exists_rel(ctx: RingContext, p: _Plan) -> Relation:
     """E v.: a gcd divisibility test over an equation in v and at most one
-    other variable u that is linear in v mod m, else the body's projection.
-    a(u)*v + b(u) = 0 is solvable where g = gcd(a(u), m) divides b(u): for
-    constants a and b, one test extended to every u; for a constant b, the
-    flag at a(u) in _divides_table over gcd(b, m); and else b(u) % g == 0."""
+    other variable u that is linear in v mod m, _times_rel over a TIMES atom
+    with v in one slot, else the body's projection.  a(u)*v + b(u) = 0 is
+    solvable where g = gcd(a(u), m) divides b(u): for constants a and b, one
+    test extended to every u; for a constant b, the flag at a(u) in
+    _divides_table over gcd(b, m); and else b(u) % g == 0."""
     m = ctx.m
     v = p.node.var
     split = _linear_body(p, m)
     if split is None:
-        body = eval_rel(ctx, p.kids[0])
+        body = p.kids[0]
+        if body.tag == "times" and (body.node.x, body.node.y, body.node.z).count(Var(v)) == 1:
+            return _times_rel(ctx, body, v)
+        body = eval_rel(ctx, body)
         return _project(ctx, body, tuple(c for c in body.cols if c != v))
     a_poly, b_poly = split
     b_const = b_poly.keys() <= {(0,)}

@@ -171,6 +171,29 @@ def test_density_requires_schedule(tmp_path, capsys):
         main(["density", "--spectrum", spectrum_path, "--h", "identity"])
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("no_bound.json", '{"primes": [2, 3]}'),
+        ("no_primes.json", '{"bound": 10}'),
+        ("composite.json", '{"bound": 10, "primes": [4]}'),
+        ("above_bound.json", '{"bound": 10, "primes": [2, 11]}'),
+        ("skips_3.csv", "prime,member\n2,1\n5,1\n"),
+        ("composite.csv", "prime,member\n2,1\n3,0\n4,1\n"),
+        ("member_2.csv", "prime,member\n2,2\n"),
+    ],
+)
+def test_malformed_spectrum_files_exit_2(tmp_path, capsys, name, text):
+    # each would load as some other spectrum, or crash with a traceback
+    path = formula_file(tmp_path, text, name)
+    for argv in (
+        ("classify", "--spectrum", path, "--max-d", "4"),
+        ("density", "--spectrum", path, "--samples", "5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "spectrum" in err, name
+
+
 def test_spectrum_output_is_byte_deterministic(tmp_path, capsys, monkeypatch):
     path = formula_file(tmp_path, X_SQ_PLUS_1)
     _, first, _ = run(capsys, "spectrum", "--formula", path, "--bound", "500")

@@ -974,13 +974,18 @@ def _watch_in_order(monkeypatch):
 
 
 def test_dedup_and_group_drop_match_numpy_unique(monkeypatch):
-    # keys that never decrease take the runs, others the dense or sort path
+    # keys that never decrease take the runs, others the dense or sort path;
+    # one column in order is its own keys, and _dedup asks _keys for none
     fired = _watch_in_order(monkeypatch)
+    keyed = _counting(monkeypatch, fastengine, "_keys")
     for m, data in _dedup_cases():
         k, n = data.shape
         want, want_counts = np.unique(data, axis=1, return_counts=True)
+        before = len(keyed)
         for got in (fastengine._dedup(data, m), fastengine._dedup(list(data), m)):
             assert got.dtype == np.int64 and np.array_equal(got, want), (m, data)
+        runs = k == 1 and bool((np.diff(data[0]) >= 0).all())
+        assert (len(keyed) > before) == (n > 1 and not runs), (m, data)
         # the same rows as groups, with the variable dropped last by name
         v = np.arange(n, dtype=np.int64) % m
         names = tuple("abc"[:k]) + ("v",)
@@ -993,14 +998,18 @@ def test_dedup_and_group_drop_match_numpy_unique(monkeypatch):
 
 
 def test_times_in_every_slot_order_agrees_with_the_reference(monkeypatch):
-    # in (x, y) order the TIMES table's keys over (x, z) never decrease, so
-    # dropping y takes the runs; where the names sort otherwise, or another
-    # slot is dropped, keys go the dense or sort path.  At each modulus the
-    # table is built for the first order and permuted for the others
+    # E y. over TIMES alone writes the kept rows (_times_rel), so a filter on
+    # y makes the body project the filtered table: in (x, y) order its keys
+    # over (x, z) never decrease, and dropping y takes the runs, in _dedup as
+    # in _group_drop; where the names sort otherwise, or another slot is
+    # dropped, keys go the dense or sort path.  The cached table switches
+    # between the kinds with and without y, and a hit is permuted to the
+    # order of the atom that reads it
     fired = _watch_in_order(monkeypatch)
     sentences = [
-        parse_sentence(f"E[1,3] x. E[0,2] z. ({q} y. TIMES(%s, %s, %s))" % names)
+        parse_sentence(f"E[1,3] x. E[0,2] z. ({q} y. {body})" % names)
         for names in itertools.permutations("xyz")
+        for body in ("TIMES(%s, %s, %s)", "(TIMES(%s, %s, %s) & (y < 3))")
         for q in ("E", "E[1,2]", "C>=(x)")
     ]
     for m in range(1, 31):
@@ -1372,6 +1381,74 @@ def test_two_name_times_never_builds_the_table(monkeypatch):
         rel = fastengine.eval_rel(ctx, fastengine._plan(parse_formula(text)))
         assert fastengine._TIMES_TABLE == {"bound": 0, "rows": None}, text
         assert 0 < rel.nrows == ctx.peak_rows <= 2 * m - 1, text
+
+
+def _exists_times_formulas():
+    """(E v. atom, v) for each TIMES atom and each name v in one of its
+    slots: the six orders of three names, which sort against their slots
+    both ways, and the two-name shapes of TIMES_SHAPES."""
+    texts = [f"TIMES({a}, {b}, {c})" for a, b, c in itertools.permutations(("x9", "y", "x1"))]
+    out = []
+    for text in texts + TIMES_SHAPES[6:]:
+        atom = parse_formula(text)
+        slots = (atom.x, atom.y, atom.z)
+        for v in sorted({s.name for s in slots if isinstance(s, Var)}):
+            if slots.count(Var(v)) == 1:
+                out.append((parse_formula(f"E {v}. {text}"), v))
+    return out
+
+
+def test_exists_over_times_writes_only_the_kept_rows(monkeypatch):
+    # _times_rel writes E v.'s rows itself, once each: the same rows as the
+    # projection of the atom's relation, and in its order where the kept
+    # names sort as their slots do
+    monkeypatch.setattr(fastengine, "_TIMES_TABLE", {"bound": 0, "rows": None})
+    calls = _counting(monkeypatch, fastengine, "_times_rel")
+    cases = _exists_times_formulas()
+    for m in range(1, 41):
+        for f, v in cases:
+            plan = fastengine._plan(f)
+            ctx = RingContext(m)
+            before = len(calls)
+            got = fastengine.eval_rel(ctx, plan)
+            assert [len(args) for args in calls[before:]] == [3], (f, m)  # given v to drop
+            want = fastengine._project(ctx, fastengine.eval_rel(ctx, plan.kids[0]), plan.fv)
+            rows = [tuple(r) for r in got.rows.tolist()]
+            assert got.cols == want.cols == plan.fv, (f, m)
+            assert len(rows) == len(set(rows)) == want.nrows, (f, m)
+            assert set(rows) == {tuple(r) for r in want.rows.tolist()}, (f, m)
+            slots = (f.body.x, f.body.y, f.body.z)
+            kept = [s.name for s in slots if isinstance(s, Var) and s.name != v]
+            if kept == sorted(kept):
+                assert np.array_equal(got.data, want.data), (f, m)
+            # closed by a count over each kept name, through both engines
+            text = formula_to_text(f)
+            for q, name in reversed(list(zip(("E[1,3]", "E[0,2]"), sorted(set(kept))))):
+                text = f"{q} {name}. ({text})"
+            eval_sentence(parse_sentence(text), m, engine="both")
+
+
+def test_times_table_switches_between_its_kinds(monkeypatch):
+    # a three-name atom caches the table, and E w. over one caches its rows
+    # without y: either may find the other's kind, or its own in another row
+    # order, cached at the same modulus, and must still get its own rows
+    monkeypatch.setattr(fastengine, "_TIMES_TABLE", {"bound": 0, "rows": None})
+    builds = _counting(monkeypatch, fastengine, "_times_runs")
+    bare, kept, kept_rev = "TIMES(x, y, z)", "(E w. TIMES(x, w, z))", "(E w. TIMES(z, w, x))"
+    pairs = [(bare, kept), (kept_rev, bare), (bare, kept_rev), (kept, bare)]
+    sentences = [parse_sentence(f"E[1,3] x. E[0,2] z. E[1,2] y. ({a} & {b})") for a, b in pairs]
+    made = {}
+    for empty in (False, True):
+        before = len(builds)
+        for m in range(1, 31):
+            for s, (_, last) in zip(sentences, pairs):
+                if empty:
+                    fastengine._TIMES_TABLE.update(bound=0, rows=None)
+                eval_sentence(s, m, engine="both")
+                table = fastengine._TIMES_TABLE
+                assert table["bound"] == m and table["rows"].shape[0] == (3 if last == bare else 2)
+        made[empty] = len(builds) - before
+    assert made == {False: 5 * 30, True: 8 * 30}
 
 
 def _plan_nodes(plan):
