@@ -320,8 +320,6 @@ def _join(ctx: RingContext, a: Relation, b: Relation, node: Formula) -> Relation
         starts = np.repeat(left, cnt)
         offs = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         bi = order[starts + offs]
-    if not out_cols:
-        return _bool_rel(total > 0)
     data = np.empty((len(out_cols), total), dtype=np.int64)
     for row, c in zip(data, out_cols):
         rel, idx = (a, ai) if c in a.cols else (b, bi)

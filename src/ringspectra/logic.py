@@ -5,11 +5,15 @@ products).  Formulas add comparison atoms, the integer-product atom
 TIMES(x, y, z) (true non-wrapping multiplication), boolean connectives and
 five quantifier forms: exists, forall, counted-exists modulo q, majority,
 and threshold counting.  Exact counting is sugar and desugars immediately.
+The printer, the parser and the free-variable walk keep stacks of their
+own, so a formula of any depth prints and parses back.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 from .errors import ParseError
@@ -265,274 +269,194 @@ term_to_text = formula_to_text
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokenizer: one regular expression.  In a str pattern \d is str.isdecimal,
+# the digits that int() reads, and \w is str.isalnum or "_"; a word must
+# start with a letter or "_".  A token is (kind, text, offset), where kind is
+# the symbol or keyword itself, NAT, IDENT or EOF.  An offset becomes a line
+# and column only in an error.
 
-
+_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|(\d+)|(\w+)|(->|>=|[][(),.+*=<&|!])|(.)", re.S)
 _KEYWORDS = {"E", "A", "M", "C", "TIMES"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAT, IDENT, KEYWORD, or the symbol itself
-    text: str
-    line: int
-    col: int
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at the line and column of text[offset]."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i : i + 2]
-        if two in ("->", ">="):
-            tokens.append(_Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "()[],.+*=<&|!":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("NAT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KEYWORD" if word in _KEYWORDS else "IDENT"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        nat, word, symbol, other = m.groups()
+        if nat:
+            tokens.append(("NAT", nat, m.start()))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            tokens.append((word if word in _KEYWORDS else "IDENT", word, m.start()))
+        elif symbol:
+            tokens.append((symbol, symbol, m.start()))
+        elif word or other:
+            raise _error(text, m.start(), f"unexpected character {text[m.start()]!r}")
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent with backtracking between atoms and groups)
+# Parser: operator precedence (Floyd, "Syntactic Analysis and Operator
+# Precedence", JACM 1963) on explicit stacks, so no depth of nesting
+# exhausts Python's.  Terms and formulas share one expression grammar, and
+# each operand's sort is checked when its operator takes it.
 
+_TERM_TYPES = (Var, Lit, Add, Mul)
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        return self.next()
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
-
-    # formula levels, loosest first
-
-    def formula(self) -> Formula:
-        left = self.or_level()
-        if self.peek().kind == "->":
-            self.next()
-            return Implies(left, self.formula())
-        return left
-
-    def or_level(self) -> Formula:
-        left = self.and_level()
-        while self.peek().kind == "|":
-            self.next()
-            left = Or(left, self.and_level())
-        return left
-
-    def and_level(self) -> Formula:
-        left = self.unary()
-        while self.peek().kind == "&":
-            self.next()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.next()
-            return Not(self.unary())
-        if tok.kind == "KEYWORD" and tok.text in ("E", "A", "M", "C"):
-            return self.quantifier()
-        return self.atom_or_group()
-
-    def quantifier(self) -> Formula:
-        head = self.next()
-        if head.text == "E":
-            if self.peek().kind == "[":
-                self.next()
-                r_tok = self.expect("NAT")
-                self.expect(",")
-                q_tok = self.expect("NAT")
-                close = self.expect("]")
-                r, q = int(r_tok.text), int(q_tok.text)
-                if q < 2:
-                    raise ParseError("mod-exists modulus must be >= 2", q_tok.line, q_tok.col)
-                if r >= q:
-                    raise ParseError(
-                        f"mod-exists residue {r} must be smaller than modulus {q}",
-                        r_tok.line,
-                        r_tok.col,
-                    )
-                var = self.bound_var()
-                self.expect(".")
-                return ModExists(r, q, var, self.formula())
-            var = self.bound_var()
-            self.expect(".")
-            return Exists(var, self.formula())
-        if head.text == "A":
-            var = self.bound_var()
-            self.expect(".")
-            return Forall(var, self.formula())
-        if head.text == "M":
-            var = self.bound_var()
-            self.expect(".")
-            return Majority(var, self.formula())
-        # C>=(t) v. f   or   C=(t) v. f
-        op = self.peek()
-        if op.kind not in (">=", "="):
-            raise self.error("expected '>=' or '=' after C")
-        self.next()
-        self.expect("(")
-        count = self.term()
-        self.expect(")")
-        var = self.bound_var()
-        dot = self.expect(".")
-        body = self.formula()
-        if var in term_vars(count):
-            raise ParseError(
-                f"count term may not contain the bound variable {var!r}",
-                dot.line,
-                dot.col,
-            )
-        if op.kind == ">=":
-            return CountGE(count, var, body)
-        return count_exact(count, var, body)
-
-    def bound_var(self) -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            raise self.error("expected a variable name")
-        return self.next().text
-
-    def atom_or_group(self) -> Formula:
-        saved = self.pos
-        try:
-            return self.atom()
-        except ParseError:
-            self.pos = saved
-        if self.peek().kind == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
-        raise self.error("expected a formula")
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "KEYWORD" and tok.text == "TIMES":
-            self.next()
-            self.expect("(")
-            x = self.term()
-            self.expect(",")
-            y = self.term()
-            self.expect(",")
-            z = self.term()
-            self.expect(")")
-            return IntTimes(x, y, z)
-        left = self.term()
-        op = self.peek()
-        if op.kind == "=":
-            self.next()
-            return Equal(left, self.term())
-        if op.kind == "<":
-            self.next()
-            return Less(left, self.term())
-        raise self.error("expected '=' or '<'")
-
-    # terms
-
-    def term(self) -> Term:
-        left = self.factor()
-        while self.peek().kind == "+":
-            self.next()
-            left = Add(left, self.factor())
-        return left
-
-    def factor(self) -> Term:
-        left = self.primary()
-        while self.peek().kind == "*":
-            self.next()
-            left = Mul(left, self.primary())
-        return left
-
-    def primary(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "NAT":
-            self.next()
-            return Lit(int(tok.text))
-        if tok.kind == "IDENT":
-            self.next()
-            return Var(tok.text)
-        if tok.kind == "(":
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
-        raise self.error("expected a term")
+# symbol: (precedence, pending operators it reduces, node, operands are
+# terms).  `->` reduces only tighter ones, so it associates to the right;
+# the others are left-associative, and `=` and `<` cannot chain because
+# their result is a formula.
+_BINARY = {
+    "->": (1, 2, Implies, False),
+    "|": (2, 2, Or, False),
+    "&": (3, 3, And, False),
+    "=": (5, 5, Equal, True),
+    "<": (5, 5, Less, True),
+    "+": (6, 6, Add, True),
+    "*": (7, 7, Mul, True),
+}
+_NOT = 4  # `!` binds tighter than `&` and looser than `=`
+_QUANTIFIER = 0  # a body extends as far right as it can
+_BRACKET = -1  # `(`, `TIMES(`, `C>=(`, `C=(` and the bottom of the stack
+_QUANTIFIERS = {"E": Exists, "A": Forall, "M": Majority}
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse concrete syntax into a Formula; raises ParseError with position."""
-    parser = _Parser(_tokenize(text))
-    try:
-        f = parser.formula()
-    except RecursionError:
-        raise ParseError("formula nests too deeply") from None
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return f
+    """Parse concrete syntax into a Formula; raises ParseError with position.
+
+    Pending operators are (precedence, node, operands are terms, arity);
+    a bracket is (_BRACKET, opener, arguments read).  Each error names the
+    token where the input stops being a formula.
+    """
+    tokens = _tokenize(text)
+    operands = []
+    ops = [(_BRACKET, "EOF", 0)]
+
+    def check(terms, offset):
+        if (type(operands[-1]) in _TERM_TYPES) is not terms:
+            raise _error(text, offset, "expected a term" if terms else "expected a formula")
+
+    def reduce(offset):
+        _, node, terms, arity = ops.pop()
+        check(terms, offset)
+        operands[-arity:] = [node(*operands[-arity:])]
+
+    def expect(i, kind):
+        found, word, offset = tokens[i]
+        if found != kind:
+            raise _error(text, offset, f"expected {kind!r}, found {word or 'end of input'!r}")
+        return word
+
+    def bound(i):
+        """The variable that tokens[i] names, before a dot."""
+        if tokens[i][0] != "IDENT":
+            raise _error(text, tokens[i][2], "expected a variable name")
+        expect(i + 1, ".")
+        return tokens[i][1]
+
+    i = 0
+    while True:
+        # an operand, after any prefix operators and brackets
+        kind, word, offset = tokens[i]
+        i += 1
+        if kind == "NAT":
+            operands.append(Lit(int(word)))
+        elif kind == "IDENT":
+            operands.append(Var(word))
+        elif kind == "(":
+            ops.append((_BRACKET, "(", 0))
+            continue
+        elif kind == "!":
+            ops.append((_NOT, Not, False, 1))
+            continue
+        elif kind == "TIMES":
+            expect(i, "(")
+            ops.append((_BRACKET, "TIMES", 0))
+            i += 1
+            continue
+        elif kind == "C":
+            if tokens[i][0] not in (">=", "="):
+                raise _error(text, tokens[i][2], "expected '>=' or '=' after C")
+            expect(i + 1, "(")
+            ops.append((_BRACKET, tokens[i][0], 0))
+            i += 2
+            continue
+        elif kind in _QUANTIFIERS:
+            node, args = _QUANTIFIERS[kind], ()
+            if kind == "E" and tokens[i][0] == "[":
+                r = int(expect(i + 1, "NAT"))
+                expect(i + 2, ",")
+                q = int(expect(i + 3, "NAT"))
+                expect(i + 4, "]")
+                if q < 2:
+                    raise _error(text, tokens[i + 3][2], "mod-exists modulus must be >= 2")
+                if r >= q:
+                    raise _error(
+                        text, tokens[i + 1][2],
+                        f"mod-exists residue {r} must be smaller than modulus {q}",
+                    )
+                node, args = ModExists, (r, q)
+                i += 5
+            ops.append((_QUANTIFIER, partial(node, *args, bound(i)), False, 1))
+            i += 2
+            continue
+        else:
+            raise _error(text, offset, "expected a term or formula")
+
+        # operators, until one needs a right operand
+        while True:
+            kind, word, offset = tokens[i]
+            i += 1
+            if kind in _BINARY:
+                prec, reduces, node, terms = _BINARY[kind]
+                while ops[-1][0] >= reduces:
+                    reduce(offset)
+                check(terms, offset)
+                ops.append((prec, node, terms, 2))
+                break
+            if kind not in (")", ",", "EOF"):
+                raise _error(text, offset, f"unexpected {word!r}")
+            while ops[-1][0] > _BRACKET:
+                reduce(offset)
+            _, opener, read = ops[-1]
+            if kind == "EOF":
+                if opener != "EOF":
+                    raise _error(text, offset, "expected ')'")
+                check(False, offset)
+                return operands[0]
+            if opener == "EOF" or (kind == "," and (opener != "TIMES" or read == 2)):
+                raise _error(text, offset, f"unexpected {word!r}")
+            if kind == ",":
+                check(True, offset)
+                ops[-1] = (_BRACKET, opener, read + 1)
+                break
+            ops.pop()
+            if opener == "(":
+                continue
+            check(True, offset)
+            if opener == "TIMES":
+                if read != 2:
+                    raise _error(text, offset, "expected ','")
+                operands[-3:] = [IntTimes(*operands[-3:])]
+                continue
+            # C>=(t) v.  or  C=(t) v.
+            count, var = operands.pop(), bound(i)
+            if var in term_vars(count):
+                raise _error(
+                    text, tokens[i + 1][2],
+                    f"count term may not contain the bound variable {var!r}",
+                )
+            node = CountGE if opener == ">=" else count_exact
+            ops.append((_QUANTIFIER, partial(node, count, var), False, 1))
+            i += 2
+            break
 
 
 def parse_sentence(text: str) -> Formula:

@@ -14,10 +14,12 @@ from ringspectra.logic import (
     CountGE,
     Equal,
     Exists,
+    Forall,
     Implies,
     IntTimes,
     Less,
     Lit,
+    Majority,
     ModExists,
     Mul,
     Not,
@@ -113,11 +115,65 @@ def test_parse_error_positions():
         parse_formula("x = 1 y = 2")
 
 
-def test_parse_error_for_too_deep_nesting():
-    with pytest.raises(ParseError, match="nests too deeply"):
-        parse_formula("!(" * 1000 + "x = 0" + ")" * 1000)
-    s = parse_sentence("E x. " + "!(" * 150 + "x = 0" + ")" * 150)
-    assert eval_sentence(s, 5, engine="both") is True
+def test_parse_any_depth():
+    # the parser keeps its own stacks, so printed text of any depth parses back
+    n = 5000
+    nots = "!(" * n + "x = 0" + ")" * n
+    nest = Equal(Var("x"), Lit(0))
+    for k in range(n):
+        if k % 2:
+            nest = And(nest, Less(Var("x"), Lit(k % 11 + 2)))
+        else:
+            nest = Or(nest, Equal(Var("x"), Lit(k % 13)))
+    quantifiers = Equal(Var("x0"), Lit(0))
+    for k in range(n):
+        quantifiers = Exists(f"x{k % 7}", quantifiers)
+    for text in (nots, formula_to_text(nest), formula_to_text(quantifiers)):
+        assert formula_to_text(parse_formula(text)) == text
+    assert eval_sentence(parse_sentence("E x. " + nots), 7, engine="both") is True
+    chain = parse_formula(" -> ".join(["x = 0"] * n))
+    for _ in range(n - 1):
+        chain = chain.right
+    assert chain == Equal(Var("x"), Lit(0))
+    negations = parse_formula("!" * n + "x = 0")
+    for _ in range(n):
+        negations = negations.body
+    assert negations == Equal(Var("x"), Lit(0))
+    assert parse_formula("(" * n + "x" + ")" * n + " = 1") == Equal(Var("x"), Lit(1))
+
+
+def test_numerals_are_decimal_digits():
+    # superscript two is a digit to str.isdigit but not a decimal one
+    with pytest.raises(ParseError) as exc:
+        parse_formula("x = \u00b2")
+    assert (exc.value.line, exc.value.col) == (1, 5)
+    assert parse_formula("E x. x = \u0663") == Exists("x", Equal(Var("x"), Lit(3)))
+    assert parse_formula("E \u00e9. \u00e9 = 1") == Exists("\u00e9", Equal(Var("\u00e9"), Lit(1)))
+
+
+@pytest.mark.parametrize("text", [
+    "(x = 1) + 2 = 3",
+    "x = 1 = 2",
+    "x & (y = 1)",
+    "TIMES(x, y)",
+    "TIMES(x = 1, y, z)",
+    "!x",
+    "E x. x",
+    "C>=(x = 1) y. y < 2",
+])
+def test_terms_and_formulas_do_not_mix(text):
+    with pytest.raises(ParseError):
+        parse_formula(text)
+
+
+def test_every_prefix_parses_or_raises_parse_error():
+    text = "E[1,4] z. C>=(k + 1) y. TIMES(y, (y), z) | !(y < 2) -> A w. C=(2) u. w*u = 1"
+    parse_formula(text)
+    for n in range(len(text)):
+        try:
+            parse_formula(text[:n])
+        except ParseError:
+            pass
 
 
 def test_mod_exists_residue_validation():
@@ -182,12 +238,57 @@ def test_print_parse_round_trip_examples():
         assert parse_formula(formula_to_text(f)) == f
 
 
+# binding strength of each operator, loosest first, as the grammar gives it
+_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4, Equal: 5, Less: 5, Add: 6, Mul: 7}
+_SYMBOL = {Implies: "->", Or: "|", And: "&", Equal: "=", Less: "<", Add: "+", Mul: "*"}
+
+
+def _minimal_text(g, need=0, last=True):
+    """g's text with only the parentheses the grammar needs, where need is
+    the least precedence g may have unbracketed and last tells whether
+    nothing follows g before its enclosing bracket ends."""
+    t = type(g)
+    if t is Var:
+        return g.name
+    if t is Lit:
+        return str(g.value)
+    if t is IntTimes:
+        return "TIMES(%s, %s, %s)" % (_minimal_text(g.x), _minimal_text(g.y), _minimal_text(g.z))
+    if t not in _PRECEDENCE:
+        # a quantifier's body extends as far right as it can
+        if t is ModExists:
+            head = f"E[{g.residue},{g.modulus}]"
+        elif t is CountGE:
+            head = f"C>=({_minimal_text(g.count)})"
+        else:
+            head = {Exists: "E", Forall: "A", Majority: "M"}[t]
+        text = f"{head} {g.var}. {_minimal_text(g.body)}"
+        return text if last else f"({text})"
+    prec = _PRECEDENCE[t]
+    bracket = prec < need
+    last = last or bracket
+    if t is Not:
+        text = "!" + _minimal_text(g.body, prec, last)
+    else:
+        # `->` associates to the right, `+`, `*`, `&` and `|` to the left,
+        # and `=` and `<` take terms only
+        left, right = {Implies: (prec + 1, prec), Equal: (6, 6), Less: (6, 6)}.get(
+            t, (prec, prec + 1))
+        text = (f"{_minimal_text(g.left, left, False)} {_SYMBOL[t]} "
+                f"{_minimal_text(g.right, right, last)}")
+    return f"({text})" if bracket else text
+
+
 def test_print_parse_round_trip_random():
     rng = random.Random(2024)
     for _ in range(300):
         f = random_sentence(rng, max_depth=6)
         text = formula_to_text(f)
         assert parse_formula(text) == f, text
+        text = _minimal_text(f)
+        assert parse_formula(text) == f, text
+    assert _minimal_text(parse_formula("(a = 0 -> b = 0) -> (!(E x. x = 1) & c = 0)")) == (
+        "(a = 0 -> b = 0) -> !(E x. x = 1) & c = 0")
 
 
 def test_printed_terms_fully_parenthesized():

@@ -408,6 +408,10 @@ def test_block_path_matches_prime_by_prime(monkeypatch):
     watch("_block_extend", lambda caller, out, *args: ["extend"] if caller == "_block_and" else [])
     watch("_group_drop", lambda caller, out, *args: (
         ["mod group"] if caller == "_block_mod_exists" else []))
+    # the body of E[r,q] v. has no column v: every row stands for all p values
+    watch("_block_rel", lambda caller, out, *args: (
+        ["mod without its variable"] if caller == "_block_mod_exists"
+        and sys._getframe(2).f_locals["p"].node.var not in out.cols else []))
     watch("eval_rel", lambda caller, out, *args: ["prime by prime"] if caller == "_eval_chunk" else [],
           module=fastengine)
     extra = [
@@ -417,6 +421,8 @@ def test_block_path_matches_prime_by_prime(monkeypatch):
         "E a. E b. ((((2 * a) + (b * b)) = 3) & (b = 5) & (a < 4))",
         # E[1,3] x. groups its body's rows by the lane and y
         "E y. E[1,3] x. ((((x * x) * x) = y) & (0 < y) & (y < 3))",
+        # E[1,2] v. counts all p values of v, which its body does not use
+        "E x. ((x = 1) & E[1,2] v. (x = 1))",
         # a(u) = 7u vanishes in the lane of 7, the one prime where it fails
         "A u. ((u = 0) | (E v. ((((7 * u) * v) + u) = 1)))",
     ]
@@ -430,7 +436,7 @@ def test_block_path_matches_prime_by_prime(monkeypatch):
     assert fired >= set(blockengine._KERNELS) | {
         "all", "none", "linear", "horner", "lane complement", "ragged complement",
         "Less filter", "Not filter", "join", "extend", "prime by prime",
-        "mod group", "a vanishes",
+        "mod group", "a vanishes", "mod without its variable",
     }
 
 
