@@ -15,13 +15,16 @@ One function gives every witness count (_witnesses), to a quantifier that
 is evaluated and to a negated one that a count filter tests row by row:
 over a body (v < u) or (u < v) AND conjuncts over v alone, as in "z is
 maximal with property phi", it counts at every u by u's rank among the
-witnesses, from prefix sums of their histogram, m rows; over any other
-body it groups its relation.
+witnesses, from prefix sums of their histogram, m rows; a plain E has one
+at each row of its own relation, a TIMES atom with v in one slot one at
+each row without v, and any other body groups its relation.
 Atoms are solved analytically where possible: a linear congruence, with a
-constant or a per-row coefficient, for all its rows at once, and a TIMES
-atom over two or three names as the run of y that each x takes, which its
-literals and repeated names fix, under E v. with v in one slot writing
-its other names' rows alone, unprojected (_times_rel).  A one-variable
+constant or a per-row coefficient, for all its rows at once (under E u.
+over v = c*b(u), v alone), and a TIMES atom over two or three names as the
+run of y that each x takes, which its literals and repeated names fix,
+under E v. with v in one slot writing its other names' rows alone
+(_times_rel), and in a conjunction only at the x that its filters over x
+pass, a semi-join (Bernstein and Chiu, JACM 1981; _steps).  A one-variable
 equation of higher degree takes its roots from gcd(f, x^m - x) at a prime
 m above arith.ROOT_SCAN_LIMIT and from Horner evaluation over all residues
 elsewhere, and other atoms are solved by vectorized scans of their
@@ -49,13 +52,14 @@ occurrence and bound ones by their quantifier, and keeps the key, with the
 node's own names in that order, only where two nodes or more have it:
 psi(3) says "V is a power of 3" four times.  eval_rel caches the relation
 of such a node in the context's dict shared, and a later node of the class
-takes it renamed to its own variables; a count filter shares the body of
-its quantifier so.  A context serves one modulus (a sweep makes one per
-prime), so nothing cached outlives it, and unshared nodes pay one
-attribute test.
-_TIMES_TABLE, the last modulus's TIMES table over three names, or its rows
-without y, stays a module global and not an entry of that cache: the
-benchmark's large-m workload and the tests empty it by name.
+takes it renamed to its own variables; a count filter shares its plain E
+so, and the body of any other quantifier.  A context serves one modulus (a
+sweep makes one per prime), so nothing cached outlives it, and unshared
+nodes pay one attribute test.
+_TIMES_TABLE, the last TIMES table over three names built, with or without
+y, whole or at the x a conjunction selects, stays a module global and not
+an entry of that cache: the benchmark's large-m workload and the tests
+empty it by name.
 
 Every materialization is charged against the context's tuple budget and
 raises ResourceLimitError naming the subformula when it would exceed it.
@@ -283,12 +287,16 @@ def _columns(rel: Relation, names) -> list[np.ndarray]:
 
 
 def _lookup(table_keys: np.ndarray, values: np.ndarray, keys: np.ndarray, domain):
-    """The values of keys in a table of sorted unique table_keys, or 0: by a
-    slot for each key of [0, domain) if given, else by binary search."""
+    """The values of keys in a table of unique table_keys, or 0: by a slot
+    for each key of [0, domain) if given, else by binary search, sorting
+    the table first unless its keys come in order."""
     if domain is not None:
         table = np.zeros(domain, dtype=values.dtype)
         table[table_keys] = values
         return table[keys]
+    if not _in_order(table_keys):
+        order = np.argsort(table_keys)
+        table_keys, values = table_keys[order], values[order]
     idx = np.minimum(np.searchsorted(table_keys, keys), table_keys.size - 1)
     return np.where(table_keys[idx] == keys, values[idx], 0)
 
@@ -612,28 +620,25 @@ def _linear_pair(poly: dict):
     return None
 
 
-def _linear_rel(ctx, a_poly, b_poly, u, v, node) -> Relation:
+def _linear_rel(ctx, a_poly, b_poly, u, v, node, image=False) -> Relation:
     """Pairs (u, v) with a(u)*v + b(u) = 0 (mod m), written straight to
-    their rows.  A constant unit a gives each u the one v = b(u)*c,
-    c = -1/a mod m, which is b(u) itself when c = 1.  Else each solvable u
-    has the g = gcd(a(u), m) solutions of _linear_solutions, base + k*m/g
-    for k < g, for a constant a or one a(u) per u alike."""
+    their rows.  A constant unit a gives each u the one v = c*b(u),
+    c = -1/a mod m, by one Horner pass of c*b (given image, E u.'s relation:
+    those v, flagged).  Else each solvable u has the g = gcd(a(u), m)
+    solutions of _linear_solutions, base + k*m/g for k < g, for a constant
+    a or one a(u) per u alike."""
     m = ctx.m
     grid = np.arange(m, dtype=np.int64)
     a = _values(a_poly, grid, m)
     if np.ndim(a) == 0 and math.gcd(a, m) == 1:
         _charge(ctx, m, node)
+        vals = _values({e: -pow(a, -1, m) * k % m for e, k in b_poly.items()}, grid, m)
+        if image:  # a flag a value
+            return Relation((v,), _sorted_unique(vals, domain=m).reshape(1, -1))
         data = np.empty((2, m), dtype=np.int64)
         uu, vv = data if u < v else data[::-1]
         uu[:] = grid
-        bv = _values(b_poly, uu, m)
-        c = -pow(a, -1, m) % m
-        if c == 1:
-            vv[:] = bv
-        else:
-            # b(u) < m <= MAX_MODULUS, so b(u)*c fits in int64
-            np.multiply(bv, c, out=vv)
-            np.remainder(vv, m, out=vv)
+        vv[:] = vals
         return Relation(tuple(sorted((u, v))), data)
     rhs = np.broadcast_to(-_values(b_poly, grid, m) % m, grid.shape)
     mask, base, _, g = _linear_solutions(a, rhs, m)
@@ -704,10 +709,11 @@ def _times_runs(ctx: RingContext, node: Formula, rows: list[int], xs, lo, hi) ->
     return out
 
 
-def _times_rel(ctx: RingContext, p: _Plan, drop: str = "") -> Relation:
+def _times_rel(ctx: RingContext, p: _Plan, drop: str = "", sel=None) -> Relation:
     """TIMES over two or three names, from the runs of y that _times_runs
     lists for each x; given drop, a name in one slot, the relation of E drop.
-    over the atom, with only the other names' rows.  As x*y = y*x, a literal
+    over the atom, with only the other names' rows; given sel, ascending x,
+    the three-name table's runs at those x alone.  As x*y = y*x, a literal
     factor, or the factor that z repeats, goes in the x slot, a dropped
     factor in the y slot, and then a literal or a repeated name is fixed by
     the choice of x and of its run alone:
@@ -722,7 +728,9 @@ def _times_rel(ctx: RingContext, p: _Plan, drop: str = "") -> Relation:
     dropping y, its run keeps one row.  The three-name table, or its rows
     without y, is kept for the last modulus only, in the row order of the
     atom that built it, and dropped before the next is built, so whether m
-    fits never depends on what ran before."""
+    fits never depends on what ran before; selected runs under the bound
+    (m, their slots in row order, sel's bytes), for a call that asks for
+    exactly those rows."""
     m = ctx.m
     node = p.node
     swap = isinstance(node.y, Lit) or node.y == node.z or node.x == Var(drop)
@@ -732,10 +740,11 @@ def _times_rel(ctx: RingContext, p: _Plan, drop: str = "") -> Relation:
     rows = [names.index(c) for c in cols]
     table = len(set(names) - {""}) == 3
     cached = table and names[2] != drop  # the table, with or without y
-    if cached and _TIMES_TABLE["bound"] == m and _TIMES_TABLE["rows"].shape[0] == len(rows):
+    bound = m if sel is None else (m, tuple(rows), sel.tobytes())
+    if cached and _TIMES_TABLE["bound"] == bound and _TIMES_TABLE["rows"].shape[0] == len(rows):
         out = _TIMES_TABLE["rows"]
         _charge(ctx, out.shape[1], node)
-        if m > 1:
+        if sel is None and m > 1:
             # in (x, y) order, column 1 is (0, 1, 0) in the table, whose column
             # m is (1, 0, 0), and (1, 0) without y; so the slot of each row is
             marks = out[:, 1] + 2 * out[:, m] if len(rows) == 3 else 2 * out[:, 1]
@@ -746,7 +755,7 @@ def _times_rel(ctx: RingContext, p: _Plan, drop: str = "") -> Relation:
     if cached:
         _TIMES_TABLE.update(bound=0, rows=None)
     if table:
-        xs = np.arange(m, dtype=np.int64)
+        xs = np.arange(m, dtype=np.int64) if sel is None else sel
         lo, hi = 0, (m - 1) // xs.clip(1) + 1
     elif isinstance(x, Lit):
         q = x.value % m
@@ -761,12 +770,12 @@ def _times_rel(ctx: RingContext, p: _Plan, drop: str = "") -> Relation:
         xs = np.arange(m, dtype=np.int64)
         lo = np.full(m, int(isinstance(z, Var)), dtype=np.int64)
         lo[0], hi = 0, m
-    if names[1] == drop and xs[0] == 0:  # and so lo = 0 at x = 0
+    if names[1] == drop and xs.size and xs[0] == 0:  # and so lo = 0 at x = 0
         hi = np.r_[1, hi[1:]] if table else 1
     out = _times_runs(ctx, node, rows, xs, lo, hi)
     if cached:
         out.flags.writeable = False
-        _TIMES_TABLE.update(bound=m, rows=out)
+        _TIMES_TABLE.update(bound=bound, rows=out)
     return Relation(cols, out)
 
 
@@ -808,7 +817,6 @@ def _count_filter(ctx: RingContext, notq: _Plan) -> _Filter:
         elif not counts.size:
             cnt = np.zeros(n, dtype=np.int64)
         else:
-            # _witnesses gives the groups sorted, so their keys come sorted too
             (gkeys, keys), _, domain = _keys(m, groups, [cols[c] for c in V0])
             cnt = _lookup(gkeys, counts, keys, domain)
         return ~_holds(q, cnt, m, cols)
@@ -895,7 +903,11 @@ def _steps(conjuncts: Sequence[_Plan]) -> tuple:
     "relation" is evaluated and joined, and the order of the relations
     breaks ties in the join order (_next_join).  Grid scans over three or
     more variables and negated quantifiers wait for the relations before
-    them, and become filters when those cover their variables."""
+    them, and become filters when those cover their variables.  Filters and
+    counts over the x slot's name of a three-name TIMES atom, or of E v.
+    over one, move to just before the first such conjunct, as "select
+    filter" and "select count", to select the x whose runs it writes, a
+    "times" step; no block kernel takes TIMES."""
     steps: list = []
     deferred = []
     covered: set = set()
@@ -916,6 +928,17 @@ def _steps(conjuncts: Sequence[_Plan]) -> tuple:
         else:
             steps.append(("relation", c))
             covered |= set(c.fv)
+    for step in list(steps):
+        drop = step[1].node.var if step[1].tag == "projection" else ""
+        atom = step[1].kids[0] if drop else step[1]
+        if atom.tag != "times" or len(atom.fv) != 3:
+            continue
+        x = atom.node.y if atom.node.x == Var(drop) else atom.node.x  # as _times_rel
+        sel = [(k, c) for k, c in steps if k in ("filter", "count") and c.fv == (x.name,)]
+        if sel:
+            steps = [s for s in steps if s not in sel]
+            i = steps.index(step)
+            steps[i : i + 1] = [("select " + k, c) for k, c in sel] + [("times", step[1])]
     return tuple(steps)
 
 
@@ -1105,9 +1128,11 @@ def _share(plan: _Plan) -> None:
             cls, names = run(canon, p.node)
             up, above = [False], up  # below p, p's flag is the one above
             members.setdefault(cls, []).append((p, names, above, up))
-        counts = [c for step, c in p.steps if step == "count"]
+        counts = [c for step, c in p.steps if step.endswith("count")]
         for k in p.kids:
-            q, k = (k.kids[0], k.kids[0].kids[0]) if k in counts else (p, k)
+            q = k.kids[0] if k in counts else p
+            if k in counts:  # a plain E's own relation, else its body's
+                k = q if isinstance(q.node, Exists) and q.rank is None else q.kids[0]
             stack.append((k, up, q.rank is None))
     for _, nodes in sorted(members.items(), reverse=True):  # outer classes first
         evaluated = [flag for *_, up, flag in nodes if not up[0]]
@@ -1167,16 +1192,24 @@ def _eval_and(
 ) -> Relation:
     rels: list[Relation] = []
     filters: list[_Filter] = []
+    sel: list[_Filter] = []  # of the next "times" conjunct
     for kind, c in steps:
         if kind == "ground":
             if eval_rel(ctx, c).nrows == 0:
                 return _empty(target)
-        elif kind == "filter":
-            filters.append(_atom_filter(c, lambda cols: ctx.m))
-        elif kind == "count":
-            filters.append(_count_filter(ctx, c))
-        else:
+        elif kind == "times" and c.share is None:  # a shared one is cached whole
+            grid = {next(iter(sel[0].vars)): np.arange(ctx.m, dtype=np.int64)}  # every x
+            xs = np.flatnonzero(np.logical_and.reduce([f.fn(grid) for f in sel]))
+            atom, drop = (c.kids[0], c.node.var) if isinstance(c.node, Exists) else (c, "")
+            rels.append(_KERNELS["times"](ctx, atom, drop, xs))
+            sel = []
+        elif kind in ("relation", "times"):
             rels.append(eval_rel(ctx, c))
+            filters, sel = filters + sel, []
+        else:
+            count = kind.endswith("count")
+            flt = _count_filter(ctx, c) if count else _atom_filter(c, lambda cols: ctx.m)
+            (sel if kind.startswith("select") else filters).append(flt)
     cur = _bool_rel(True)
     while rels:
         if cur.nrows == 0:
@@ -1217,13 +1250,25 @@ def _eval_or(ctx: RingContext, p: _Plan) -> Relation:
 
 def _witnesses(ctx: RingContext, q: _Plan):
     """The witness count of quantifier q at each group of its other free
-    variables, as (V0, groups, counts) like _group_drop.  A rank shape
-    (_rank_shape) counts at every u, by u's rank among the witnesses of its
-    other conjuncts, charging m; any other body groups its relation, which
-    eval_rel may share (_share)."""
-    v = q.node.var
+    variables, as (V0, groups, counts) like _group_drop but in no set
+    order.  A rank shape (_rank_shape) counts at every u, by u's rank among
+    the witnesses of its other conjuncts, charging m.  A plain E (a count
+    filter's) has one at each row of its own relation, a TIMES body with v
+    in one slot one at each row of _times_rel's and m where the other
+    factor is 0, and any other body groups its relation, which eval_rel may
+    share (_share)."""
+    v, body = q.node.var, q.kids[0]
+    plain = isinstance(q.node, Exists)  # a count filter's
+    slots = (body.node.x, body.node.y, body.node.z) if body.tag == "times" and not plain else ()
+    slot = slots.index(Var(v)) if slots.count(Var(v)) == 1 else None
+    if q.rank is None and slot is None and not plain:
+        return _group_drop(ctx, eval_rel(ctx, body), v)
     if q.rank is None:
-        return _group_drop(ctx, eval_rel(ctx, q.kids[0]), v)
+        rel = eval_rel(ctx, q) if slot is None else _KERNELS["times"](ctx, body, v)
+        # one witness a row, but m where the other factor is 0 (Lit(1): none)
+        other = Lit(1) if slot in (None, 2) else (body.node.y, body.node.x)[slot]
+        zero = _eval_term_cols(ctx.m, other, dict(zip(rel.cols, rel.data))) == 0
+        return rel.cols, rel.data, np.broadcast_to(np.where(zero, ctx.m, 1), rel.data.shape[1:])
     cmp_atom, u, steps = q.rank
     hist = np.bincount(_eval_and(ctx, steps, q.node, target=(v,)).data[0], minlength=ctx.m)
     _charge(ctx, ctx.m, q.node)
@@ -1256,7 +1301,11 @@ def _exists_rel(ctx: RingContext, p: _Plan) -> Relation:
     if split is None:
         body = p.kids[0]
         if body.tag == "times" and (body.node.x, body.node.y, body.node.z).count(Var(v)) == 1:
-            return _times_rel(ctx, body, v)
+            return _KERNELS["times"](ctx, body, v)
+        pair = _linear_pair(_poly_mod(body.poly, m)) if body.tag == "linear const" else None
+        a = pair[1].get((0,), 0) if pair and pair[1].keys() == {(0,)} else 0
+        if a and math.gcd(a, m) == 1 and body.fv[1 - pair[0]] == v:  # w = c*b(u): w's image
+            return _linear_rel(ctx, *pair[1:], v, body.fv[pair[0]], body.node, image=True)
         body = eval_rel(ctx, body)
         return _project(ctx, body, tuple(c for c in body.cols if c != v))
     a_poly, b_poly = split
@@ -1342,8 +1391,8 @@ def _not_rel(ctx: RingContext, p: _Plan) -> Relation:
     return _complement(ctx, eval_rel(ctx, p.kids[0]), p.node)
 
 
-# the kernel of each tag (_tag)
-_KERNELS: dict[str, Callable[[RingContext, _Plan], Relation]] = {
+# the kernel of each tag (_tag); "times" also takes E's name and selected x
+_KERNELS: dict[str, Callable[..., Relation]] = {
     "ground": _ground_rel,
     "univariate": _univar_rel,
     "linear const": _pair_rel,

@@ -1,6 +1,7 @@
 """Sentence families: fraction ordering, congruence encodings, power sets,
 and the tower constructions, checked against direct number theory."""
 
+import numpy as np
 import pytest
 
 from ringspectra.arith import frac_mod, sieve
@@ -17,9 +18,11 @@ from ringspectra.constructions import (
     supexp_family,
     theta_sentence,
 )
+from ringspectra.density import alternating_set, geometric_sequence
 from ringspectra.evaluate import RingContext, eval_naive, eval_sentence
 from ringspectra.fastengine import eval_fast
 from ringspectra.logic import formula_to_text, free_vars, parse_formula
+from ringspectra.spectra import spectrum
 
 
 def sat_set(formula, m, cross_check=False):
@@ -191,6 +194,18 @@ def test_psi_spot_values():
     psi = psi_sentence(3)
     assert eval_sentence(psi, 11, engine="both") is True  # 9 < 11 < 27
     assert eval_sentence(psi, 29, engine="both") is False  # 27 < 29 < 81
+
+
+def test_psi_spectrum_is_its_closed_form():
+    # above q, psi(q) holds exactly between q^2n and q^2n+1: the alternating
+    # set of 19, 19^2, 19^3, 19^4 is the primes in (361, 6859)
+    got = spectrum(psi_sentence(19), 7500, workers=1)
+    want = alternating_set(geometric_sequence(19, 4), 7500)
+    above = got.table.primes > 19
+    assert np.array_equal(got.bits[above], want.bits[above])
+    # psi(3) holds from 9^5 to 3 * 9^5 = 177147, which lies between these primes
+    assert eval_sentence(psi_sentence(3), 177131) is True
+    assert eval_sentence(psi_sentence(3), 177167) is False
 
 
 def test_theta_tower_intervals():

@@ -1451,6 +1451,130 @@ def test_times_table_switches_between_its_kinds(monkeypatch):
     assert made == {False: 5 * 30, True: 8 * 30}
 
 
+def _selections(monkeypatch):
+    """Wrap the times kernel; returns a function that lists, for each call
+    given the x that a conjunction's filters selected (a "times" step of
+    _steps), those x."""
+    calls = _counting(monkeypatch, fastengine, "times")
+    return lambda: [args[3].tolist() for args in calls if len(args) == 4]
+
+
+def test_filters_on_x_select_the_runs_of_times(monkeypatch):
+    # filters and count filters over the x slot of a three-name TIMES
+    # conjunct, the atom or E y. over it, are tested once at every x, and
+    # the times kernel writes the runs of the x that pass; where a filter
+    # is over the y slot, or the TIMES node is shared, nothing is selected
+    selected = _selections(monkeypatch)
+    psi_body = "(E y. TIMES(x, y, z)) & !(x = 1) & !(E w. TIMES(3, w, x))"
+    cases = [
+        ("E[1,3] x. E[0,2] z. E[1,2] y. (TIMES(x, y, z) & (x < 0))", lambda m: [[]]),
+        # 1 is 0 in Z_1, where nothing is below it
+        ("E[1,3] x. E[0,2] z. E[1,2] y. (TIMES(x, y, z) & (x < 1))", lambda m: [[0][: m - 1]]),
+        # x in the y slot of the atom, whose x slot E y. fills
+        ("E[1,3] z. E[0,2] x. ((E y. TIMES(y, x, z)) & (x < 1))", lambda m: [[0][: m - 1]]),
+        # psi's "z has a divisor x other than 1 that 3 does not divide"
+        (f"E[1,3] z. E x. ({psi_body})", lambda m: [[x for x in range(m) if x != 1 and x % 3]]),
+        ("E[1,3] x. E[0,2] z. E[1,2] y. (TIMES(x, y, z) & (y < 1))", lambda m: []),
+        (
+            "E[1,3] z. ((E x. ((E y. TIMES(x, y, z)) & (x < 2)))"
+            " & (E x. ((E y. TIMES(x, y, z)) & (1 < x))))",
+            lambda m: [],
+        ),
+    ]
+    for text, want in cases:
+        s = parse_sentence(text)
+        for m in range(1, 31):
+            before = len(selected())
+            eval_sentence(s, m, engine="both")
+            # the literal 3 is 1 in Z_2 and 0 in Z_3: psi's x from m = 4
+            if m > 3 or "TIMES(3" not in text:
+                assert selected()[before:] == want(m), (text, m)
+    # the last case's twin E y. nodes are shared, and so kept whole
+    shared = [p.kids[0].tag for p in _plan_nodes(fastengine._plan(s)) if p.share is not None]
+    assert shared == ["times", "times"]
+
+
+def test_twin_selections_share_the_times_table(monkeypatch):
+    # twins with the same selection of x, on the bare atom and on E y. over
+    # it with y in either factor slot, are not alpha-equivalent, and so not
+    # shared; the second finds the runs the first kept under its bound
+    selected = _selections(monkeypatch)
+    builds = _counting(monkeypatch, fastengine, "_times_runs")
+    twins = [
+        "E[1,3] z. E[0,2] y. ((E x. (TIMES(x, y, z) & (x < 2)))"
+        " & (E x. (TIMES(x, y, z) & (x < 2) & (y < 5))))",
+        "E[1,3] z. ((E x. ((E y. TIMES(x, y, z)) & (x < 2)))"
+        " & (E x. ((E y. TIMES(y, x, z)) & (x < 2))))",
+    ]
+    for text in twins:
+        s = parse_sentence(text)
+        for m in range(1, 31):
+            fastengine._TIMES_TABLE.update(bound=0, rows=None)
+            before, built = len(selected()), len(builds)
+            eval_sentence(s, m, engine="both")
+            assert selected()[before:] == [[x for x in range(m) if x < 2 % m]] * 2, (text, m)
+            assert len(builds) - built == 1, (text, m)
+            slots = (0, 1, 2) if "y <" in text else (0, 2)  # kept in row order
+            assert fastengine._TIMES_TABLE["bound"][:2] == (m, slots), (text, m)
+
+
+def test_twin_count_filters_over_plain_exists_read_its_relation(monkeypatch):
+    # a count filter over E v. reads the E node's own relation, one witness
+    # a row; its twin reads the same relation from the cache
+    hits = _recording_hits(monkeypatch)
+    projections = _counting(monkeypatch, fastengine, "projection")
+    s = parse_sentence(
+        "E[1,2] x. E[1,2] y. (((x * y) = 1) & !(E v. ((v * v) = x)) & !(E w. ((w * w) = y)))"
+    )
+    for m in range(1, 31):
+        before, hit = len(projections), len(hits)
+        eval_sentence(s, m, engine="both")
+        assert len(projections) - before == 1, m
+        assert [counted for counted, _ in hits[hit:]] == [True], m
+
+
+def test_exists_over_a_unit_linear_equation_writes_its_image(monkeypatch):
+    # E u. over a*w + b(u) = 0 with a unit a flags w = -b(u)/a at every u,
+    # with no (u, w) row: a = 1 at every m but 1, where the equation is
+    # 0 = 0; a = 2 and a = 4 at odd m only.  The others project the pairs
+    images = []  # the modulus of each image written
+    real = fastengine._linear_rel
+
+    def linear_rel(ctx, *args, image=False):
+        if image:
+            images.append(ctx.m)
+        return real(ctx, *args, image=image)
+
+    monkeypatch.setattr(fastengine, "_linear_rel", linear_rel)
+    for text, unit in (
+        ("E[0,2] y. E z. (((z * z) * z) = y)", lambda m: m > 1),
+        ("E[1,2] x. ((x < 7) & E u. ((2 * x) = (((u * u) * u) + 1)))", lambda m: m % 2 == 1 < m),
+        ("E[1,3] x. ((x < 5) & E u. ((x + (3 * x)) = (u * u)))", lambda m: m % 2 == 1 < m),
+    ):
+        s = parse_sentence(text)
+        for m in range(1, 31):
+            images.clear()
+            eval_sentence(s, m, engine="both")
+            assert images == ([m] if unit(m) else []), (text, m)
+
+
+def test_counting_quantifiers_over_times_take_the_kept_rows(monkeypatch):
+    # E[r,q] and C>= over TIMES with y in one slot, in the six orders of
+    # x, y, z, count from the rows without y that the times kernel writes:
+    # one witness a row, m where the other factor is 0; never the table
+    calls = _counting(monkeypatch, fastengine, "times")
+    sentences = [
+        parse_sentence(f"E[1,3] x. E[0,2] z. ({q} y. TIMES(%s, %s, %s))" % names)
+        for names in itertools.permutations("xyz")
+        for q in ("E[1,2]", "C>=(x)", "M")
+    ]
+    for m in range(1, 31):
+        for s in sentences:
+            before = len(calls)
+            eval_sentence(s, m, engine="both")
+            assert [len(args) for args in calls[before:]] == [3], (s, m)
+
+
 def _plan_nodes(plan):
     nodes, stack = [], [plan]
     while stack:
@@ -1489,11 +1613,12 @@ def _recording_hits(monkeypatch):
 
 def test_psi_evaluates_each_shared_class_once_per_modulus(monkeypatch):
     # "V is a power of 3" four times, "the square of a power of 3" twice.
-    # 6 nodes are shared: the two squares and the four bodies of the powers.
-    # Three powers are count filters, which evaluate only their bodies, and
-    # the fourth is a relation, alone of its class.  One body lies inside
-    # the square that is a hit, so each modulus computes two classes and
-    # reads them three times
+    # 6 nodes are shared: the two squares and the four powers' E x. nodes
+    # ("V has a divisor other than 1 that 3 does not divide").  Three powers
+    # are count filters, which read that E node's own relation, and the
+    # fourth is the complement of it.  One power lies inside the square that
+    # is a hit, so each modulus computes two classes and reads them three
+    # times
     s = psi_sentence(3)
     nodes = _plan_nodes(fastengine._plan(s))
     assert sum(p.share is not None for p in nodes) == 6
@@ -1502,9 +1627,9 @@ def test_psi_evaluates_each_shared_class_once_per_modulus(monkeypatch):
     calls = []
 
     def kernel_of(kernel):
-        def wrapper(ctx, p):
+        def wrapper(ctx, p, *rest):
             calls.append((ctx, p, len(ctx.shared)))
-            return kernel(ctx, p)
+            return kernel(ctx, p, *rest)
 
         return wrapper
 
@@ -1527,10 +1652,11 @@ def test_psi_evaluates_each_shared_class_once_per_modulus(monkeypatch):
         assert eval_sentence(s, m) is (m == 101)
         contexts = {id(ctx) for ctx, _, _ in calls}
         assert len(contexts) == 1 and calls[0][2] == 0  # it starts empty
-        # every entry cached is read: a body by a count filter and by the
-        # power that is a relation, a square by a conjunction
+        # every entry cached is read: a power by a count filter and by the
+        # complement of the power that is a relation, a square by a
+        # conjunction
         assert len(read) == 3 and set(calls[0][0].shared) == {first for first, _ in read}
-        assert {reader for _, reader in read} == {"_count_filter", "_exists_rel", "_eval_and"}
+        assert {reader for _, reader in read} == {"_count_filter", "_not_rel", "_eval_and"}
         per_class = {}
         for ctx, p, _ in calls:
             if p.share is not None:
